@@ -1,18 +1,16 @@
-//! Collective-algorithm benchmarks: direct (chunk-parallel) vs ring
-//! all-reduce across rank counts and message sizes — the ablation behind
-//! choosing the direct algorithm as the engine default.
+//! Collective benchmarks: the chunk-parallel all-reduce across rank counts
+//! and message sizes, and a 4-rank all-gather.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geofm_bench::quick_criterion;
-use geofm_collectives::{Algorithm, Group};
+use geofm_collectives::Group;
 use std::hint::black_box;
 
-fn run_all_reduce(ranks: usize, elems: usize, algorithm: Algorithm) {
+fn run_all_reduce(ranks: usize, elems: usize) {
     let handles = Group::create(ranks);
     std::thread::scope(|s| {
         for h in handles {
             s.spawn(move || {
-                let h = h.with_algorithm(algorithm);
                 let mut buf = vec![h.rank() as f32; elems];
                 h.all_reduce(&mut buf);
                 black_box(buf[0]);
@@ -21,19 +19,14 @@ fn run_all_reduce(ranks: usize, elems: usize, algorithm: Algorithm) {
     });
 }
 
-fn bench_all_reduce_algorithms(c: &mut Criterion) {
+fn bench_all_reduce(c: &mut Criterion) {
     let mut group = c.benchmark_group("all_reduce");
     for &ranks in &[2usize, 4] {
         for &elems in &[1024usize, 65_536] {
             group.bench_with_input(
-                BenchmarkId::new(format!("direct_r{}", ranks), elems),
+                BenchmarkId::new(format!("r{}", ranks), elems),
                 &elems,
-                |b, &e| b.iter(|| run_all_reduce(ranks, e, Algorithm::Direct)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("ring_r{}", ranks), elems),
-                &elems,
-                |b, &e| b.iter(|| run_all_reduce(ranks, e, Algorithm::Ring)),
+                |b, &e| b.iter(|| run_all_reduce(ranks, e)),
             );
         }
     }
@@ -61,6 +54,6 @@ fn bench_all_gather(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = bench_all_reduce_algorithms, bench_all_gather
+    targets = bench_all_reduce, bench_all_gather
 }
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 //! one performance-critical layer:
 //!
 //! * `kernels` — matmul variants and attention forward/backward
-//! * `collectives` — direct vs ring all-reduce across rank counts
+//! * `collectives` — all-reduce across rank counts and sizes, and all-gather
 //! * `fsdp_step` — full distributed step per sharding strategy, plus the
 //!   unit-granularity ablation (per-block units vs one whole-model unit)
 //! * `simulator` — DES throughput for the paper's largest configurations

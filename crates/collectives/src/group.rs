@@ -1,4 +1,4 @@
-//! Process groups and the direct (chunk-parallel) collectives.
+//! Process groups and the chunk-parallel collectives.
 //!
 //! Every collective comes in two flavours: the classic infallible form
 //! (`all_reduce`, …) used by code that assumes a healthy world, and a
@@ -18,28 +18,16 @@
 //! [`CollectiveError::Corrupt`] on **every** rank — the collective still
 //! completes all of its barriers, so the group is not poisoned and the
 //! caller can recover in-band (discard the garbage result, roll back,
-//! retry or skip). Verification is only implemented for the direct
-//! algorithm; the ring path reports corruption-free transfers.
+//! retry or skip).
 
 use crate::adaptive::AdaptiveTimeout;
 use crate::barrier::{RankLost, SenseBarrier};
 use crate::guard::{self, CollectiveError, CorruptPayload, SabotageCell};
-use crate::ring;
 use crate::traffic::{CollectiveKind, TrafficCounter};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which collective algorithm a handle uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Algorithm {
-    /// Chunk-parallel shared-memory algorithm (default, work-optimal here).
-    #[default]
-    Direct,
-    /// Classical 2(n−1)-step ring (matches RCCL's data movement).
-    Ring,
-}
 
 /// Shared state of one process group.
 #[derive(Debug)]
@@ -66,7 +54,6 @@ pub struct Group {
 #[derive(Debug, Clone)]
 pub struct RankHandle {
     rank: usize,
-    algorithm: Algorithm,
     timeout: Option<Duration>,
     adaptive: Option<Arc<AdaptiveTimeout>>,
     /// Emulated link slowdown factor for this rank, as `f64` bits (1.0 =
@@ -114,7 +101,6 @@ impl Group {
         (0..size)
             .map(|rank| RankHandle {
                 rank,
-                algorithm: Algorithm::Direct,
                 timeout: None,
                 adaptive: None,
                 link_slowdown: Arc::new(AtomicU64::new(1f64.to_bits())),
@@ -142,12 +128,6 @@ impl RankHandle {
         self.group.size
     }
 
-    /// Switch the collective algorithm (returns self for chaining).
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
     /// Bound every internal barrier wait of this handle's collectives. A
     /// wait that exceeds `timeout` poisons the group and returns
     /// [`RankLost::Timeout`] from the `try_*` call. `None` (the default)
@@ -155,11 +135,6 @@ impl RankHandle {
     pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.timeout = timeout;
         self
-    }
-
-    /// The configured static per-barrier timeout, if any.
-    pub fn timeout(&self) -> Option<Duration> {
-        self.timeout
     }
 
     /// Attach an adaptive timeout tracker. Every successful barrier wait
@@ -396,13 +371,6 @@ impl RankHandle {
         if self.group.size == 1 {
             return Ok(());
         }
-        match self.algorithm {
-            Algorithm::Direct => self.all_reduce_direct(buf),
-            Algorithm::Ring => ring::all_reduce_ring(self, buf).map_err(CollectiveError::from),
-        }
-    }
-
-    fn all_reduce_direct(&self, buf: &mut [f32]) -> Result<(), CollectiveError> {
         let g = &*self.group;
         let n = g.size;
         // 1. publish (checksums first, then the possibly-corrupted copy)
@@ -504,46 +472,6 @@ impl RankHandle {
             }
         }
         self.reduce_epilogue(verdict)
-    }
-
-    /// Copy `root`'s buffer to every rank.
-    ///
-    /// # Panics
-    /// Panics if a peer rank is lost (see [`RankHandle::try_broadcast`]).
-    pub fn broadcast(&self, buf: &mut [f32], root: usize) {
-        self.try_broadcast(buf, root).expect("collective failed: peer rank lost");
-    }
-
-    /// Fallible [`RankHandle::broadcast`]. On `Err` the contents of `buf`
-    /// are unspecified and the group is poisoned.
-    #[must_use = "a failed broadcast leaves buf unusable and must be handled"]
-    pub fn try_broadcast(&self, buf: &mut [f32], root: usize) -> Result<(), RankLost> {
-        assert!(root < self.group.size, "broadcast root out of range");
-        self.record(CollectiveKind::Broadcast, buf.len());
-        if self.group.size == 1 {
-            return Ok(());
-        }
-        let g = &*self.group;
-        if self.rank == root {
-            *g.mailboxes[root].write() = buf.to_vec();
-        }
-        self.try_barrier()?;
-        if self.rank != root {
-            let mb = g.mailboxes[root].read();
-            debug_assert_eq!(mb.len(), buf.len(), "broadcast buffers must be equal length");
-            buf.copy_from_slice(&mb);
-        }
-        self.try_barrier()
-    }
-
-    pub(crate) fn mailbox_write(&self, rank: usize, data: &[f32]) {
-        *self.group.mailboxes[rank].write() = data.to_vec();
-    }
-
-    pub(crate) fn mailbox_read(&self, rank: usize, out: &mut Vec<f32>) {
-        let mb = self.group.mailboxes[rank].read();
-        out.clear();
-        out.extend_from_slice(&mb);
     }
 }
 
@@ -652,15 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_copies_root() {
-        run_group(4, |h| {
-            let mut buf = if h.rank() == 2 { vec![7.0; 5] } else { vec![0.0; 5] };
-            h.broadcast(&mut buf, 2);
-            assert!(buf.iter().all(|&v| v == 7.0));
-        });
-    }
-
-    #[test]
     fn single_rank_collectives_are_identity() {
         run_group(1, |h| {
             let mut buf = vec![3.0, 4.0];
@@ -706,9 +625,6 @@ mod tests {
                 let mut rs = Vec::new();
                 h.reduce_scatter(&[2.0f32; 4], &mut rs);
                 assert_eq!(rs, vec![8.0]);
-                let mut b = vec![h.rank() as f32; 3];
-                h.broadcast(&mut b, 0);
-                assert!(b.iter().all(|&v| v == 0.0));
             }
         });
     }
@@ -742,7 +658,6 @@ mod tests {
         let mut out = Vec::new();
         assert!(h.try_all_gather(&buf, &mut out).is_err());
         assert!(h.try_reduce_scatter(&buf, &mut out).is_err());
-        assert!(h.try_broadcast(&mut buf, 0).is_err());
         assert!(h.try_barrier().is_err());
         assert!(h.is_poisoned());
     }
@@ -812,14 +727,6 @@ mod tests {
         assert_survivors_all_err(|h| {
             let mut out = Vec::new();
             h.try_reduce_scatter(&[1.0f32; 8], &mut out)
-        });
-    }
-
-    #[test]
-    fn dead_rank_broadcast_errors_on_all_survivors() {
-        assert_survivors_all_err(|h| {
-            let mut buf = vec![0.0f32; 4];
-            h.try_broadcast(&mut buf, 0)
         });
     }
 
@@ -900,22 +807,6 @@ mod tests {
                     let mut buf = vec![(h.rank() + 1) as f32; 4];
                     h.all_reduce(&mut buf);
                     assert!(buf.iter().all(|&v| v == 3.0), "degraded link must not corrupt data");
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn ring_algorithm_times_out_on_dead_rank() {
-        let handles = Group::create(3);
-        std::thread::scope(|s| {
-            for h in handles.into_iter().take(2) {
-                s.spawn(move || {
-                    let h = h
-                        .with_algorithm(Algorithm::Ring)
-                        .with_timeout(Some(Duration::from_millis(100)));
-                    let mut buf = vec![1.0f32; 6];
-                    assert!(h.try_all_reduce(&mut buf).is_err());
                 });
             }
         });

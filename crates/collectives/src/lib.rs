@@ -7,13 +7,9 @@
 //! A *rank* is an OS thread; a *group* is a set of ranks that synchronise
 //! through a custom sense-reversing barrier (built from atomics, per the
 //! "Rust Atomics and Locks" playbook) and exchange data through per-rank
-//! mailboxes. Two algorithm families are provided:
-//!
-//! * **direct** — chunk-parallel: every collective is decomposed into a
-//!   reduce-scatter-like phase (each rank owns a chunk) and a gather phase.
-//!   This is the default; it is work-optimal in shared memory.
-//! * **ring** — the classical 2(n−1)-step ring, implemented for fidelity to
-//!   what RCCL actually runs and for the collective benchmarks.
+//! mailboxes. The collectives are chunk-parallel: every reduce is
+//! decomposed into a reduce-scatter-like phase (each rank owns a chunk) and
+//! a gather phase, which is work-optimal in shared memory.
 //!
 //! Every operation updates a [`TrafficCounter`] with the *logical network
 //! bytes* the same collective would move on a real interconnect (ring-
@@ -40,24 +36,17 @@ pub mod guard;
 pub mod hierarchy;
 pub mod nonblocking;
 pub mod pool;
-pub mod ring;
-pub mod simnet;
 pub mod spsc;
 pub mod traffic;
-pub mod transport;
 
 pub use adaptive::{AdaptiveTimeout, AdaptiveTimeoutConfig};
 pub use barrier::{RankLost, SenseBarrier};
 pub use consensus::{ConsensusError, SurvivorConsensus};
-pub use group::{Algorithm, Group, RankHandle};
+pub use group::{Group, RankHandle};
 pub use guard::{CollectiveError, CorruptPayload, SabotageCell};
 pub use hierarchy::{HierarchyLayout, ProcessGroups, RankGroups};
 pub use nonblocking::{
     AsyncOp, CellPoolStats, CollectiveHandle, CommGroup, CommThread, OwnedAsyncOp,
 };
 pub use pool::{BufferPool, PoolStats};
-pub use simnet::{SimNetConfig, SimNetTransport};
 pub use traffic::{CollectiveKind, TrafficCounter, TrafficSnapshot};
-pub use transport::{
-    LoopbackTransport, SharedMemTransport, Ticket, Transport, TransportOp,
-};

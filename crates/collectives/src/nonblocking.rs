@@ -60,17 +60,13 @@
 //! worker that dies abnormally fails its pending jobs with
 //! `Lost(Poisoned)` instead of stranding their waiters.
 //!
-//! ## Relationship to the `Transport` abstraction
+//! ## The comm contract
 //!
-//! This engine is the backing of [`crate::transport::SharedMemTransport`],
-//! the in-process backend of the [`crate::transport::Transport`] trait.
-//! The transport laws (FIFO completion, poison propagation, bounded
-//! quiesce, checksum-verdict agreement, pooled-buffer steady state) are
-//! pinned against this module — alongside the SimNet and loopback
-//! backends — by the conformance battery in
-//! `tests/transport_conformance.rs`; a behavioural change here that
-//! breaks a law fails that battery before it can reach the training
-//! suites.
+//! The FSDP engine talks to its peers only through [`RankHandle`]'s
+//! blocking verbs and this module. DESIGN.md §17 states the laws the two
+//! share (FIFO completion, poison propagation, bounded quiesce,
+//! checksum-verdict agreement, pooled-buffer steady state) and maps each
+//! law to the unit test here or in `group.rs` that checks it.
 
 use crate::barrier::RankLost;
 use crate::group::RankHandle;
@@ -862,6 +858,84 @@ mod tests {
     }
 
     #[test]
+    fn handles_redeemed_back_to_front_keep_issue_order() {
+        // waiting on the newest handle first cannot steal (older jobs are
+        // still pending), so the waiter wakes the lazily-parked worker,
+        // which drains the queue in issue order; every result must still
+        // match its blocking twin bit for bit
+        const OPS: usize = 9;
+        let handles = Group::create(2);
+        std::thread::scope(|s| {
+            for h in handles {
+                s.spawn(move || {
+                    let comm = CommThread::spawn();
+                    let g = comm.register(&h);
+                    let input = |i: usize| -> Vec<f32> {
+                        (0..4 + i % 3).map(|j| (h.rank() * 100 + i * 7 + j) as f32).collect()
+                    };
+                    let expect: Vec<Vec<f32>> = (0..OPS)
+                        .map(|i| {
+                            let mut out = input(i);
+                            match i % 3 {
+                                0 => h.try_all_reduce(&mut out).unwrap(),
+                                1 => h.try_all_gather(&input(i), &mut out).unwrap(),
+                                _ => h.try_reduce_scatter(&input(i), &mut out).unwrap(),
+                            }
+                            out
+                        })
+                        .collect();
+                    let pending: Vec<CollectiveHandle> = (0..OPS)
+                        .map(|i| match i % 3 {
+                            0 => comm.all_reduce_async(&g, &input(i)),
+                            1 => comm.all_gather_async(&g, &input(i)),
+                            _ => comm.reduce_scatter_async(&g, &input(i)),
+                        })
+                        .collect();
+                    for (i, hd) in pending.into_iter().enumerate().rev() {
+                        assert_eq!(bits(&hd.wait().unwrap()), bits(&expect[i]), "op {i}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn explicit_poison_fails_already_submitted_jobs() {
+        // no timeout is configured, so only rank 0's poison can release
+        // its peers' jobs, all submitted before the poison
+        let handles = Group::create(3);
+        let submitted = std::sync::Barrier::new(3);
+        let start = std::time::Instant::now();
+        std::thread::scope(|s| {
+            for h in handles {
+                let submitted = &submitted;
+                s.spawn(move || {
+                    if h.rank() == 0 {
+                        submitted.wait();
+                        h.poison();
+                        return;
+                    }
+                    let comm = CommThread::spawn();
+                    let g = comm.register(&h);
+                    let pending = [
+                        comm.all_reduce_async(&g, &[1.0, 2.0]),
+                        comm.all_gather_async(&g, &[3.0]),
+                        comm.reduce_scatter_async(&g, &[4.0; 6]),
+                    ];
+                    submitted.wait();
+                    for hd in pending {
+                        let r = hd.wait();
+                        assert!(matches!(r, Err(CollectiveError::Lost(_))), "got {r:?}");
+                    }
+                    comm.quiesce();
+                    assert_eq!(comm.in_flight(), 0);
+                });
+            }
+        });
+        assert!(start.elapsed() < Duration::from_secs(10), "poison must release peers promptly");
+    }
+
+    #[test]
     fn dead_rank_fails_async_collectives_without_hanging() {
         let handles = Group::create(3);
         let start = std::time::Instant::now();
@@ -981,6 +1055,39 @@ mod tests {
                         let out = hd.wait().unwrap();
                         assert!(out.iter().all(|&v| v == 2.0 * round as f32), "{out:?}");
                     }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn blocking_verbs_and_barrier_work_after_quiesce() {
+        let handles = Group::create(2);
+        std::thread::scope(|s| {
+            for h in handles {
+                s.spawn(move || {
+                    let comm = CommThread::spawn();
+                    let g = comm.register(&h);
+                    let pending: Vec<CollectiveHandle> = (0..3)
+                        .map(|round| comm.all_reduce_async(&g, &[round as f32; 4]))
+                        .collect();
+                    comm.quiesce();
+                    let mut buf = vec![h.rank() as f32 + 1.0; 4];
+                    h.try_all_reduce(&mut buf).unwrap();
+                    assert_eq!(buf, vec![3.0; 4]);
+                    let mut out = Vec::new();
+                    h.try_all_gather(&[h.rank() as f32], &mut out).unwrap();
+                    assert_eq!(out, vec![0.0, 1.0]);
+                    h.try_reduce_scatter(&[1.0; 4], &mut out).unwrap();
+                    assert_eq!(out, vec![2.0; 2]);
+                    h.try_barrier().unwrap();
+                    // drained results stay claimable, and the comm thread
+                    // still takes new work
+                    for (round, hd) in pending.into_iter().enumerate() {
+                        assert_eq!(hd.wait().unwrap(), vec![2.0 * round as f32; 4]);
+                    }
+                    let again = comm.all_reduce_async(&g, &[5.0; 2]).wait().unwrap();
+                    assert_eq!(again, vec![10.0; 2]);
                 });
             }
         });

@@ -47,7 +47,7 @@ impl PoolStats {
 }
 
 /// A recycling pool of `Vec<f32>` scratch buffers, keyed by capacity class.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BufferPool {
     classes: Vec<Mutex<Vec<Vec<f32>>>>,
     takes: AtomicU64,
@@ -60,6 +60,12 @@ pub struct BufferPool {
 /// two. Class capacity is `1 << class`.
 fn class_of(len: usize) -> usize {
     len.next_power_of_two().trailing_zeros() as usize
+}
+
+impl Default for BufferPool {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl BufferPool {
@@ -163,6 +169,19 @@ mod tests {
         let again = pool.take(3);
         assert_eq!(again.as_ptr(), ptr, "same-class take must reuse the freed buffer");
         assert!(again.is_empty(), "reused buffers come back cleared");
+        let s = pool.stats();
+        assert_eq!((s.takes, s.reuses, s.allocs, s.puts), (2, 1, 1, 1));
+    }
+
+    #[test]
+    fn default_pool_takes_and_puts() {
+        // `Default` must build the class free lists like `new` does
+        let pool = BufferPool::default();
+        let buf = pool.take(4);
+        assert!(buf.capacity() >= 4);
+        pool.put(buf);
+        let again = pool.take(4);
+        assert!(again.capacity() >= 4);
         let s = pool.stats();
         assert_eq!((s.takes, s.reuses, s.allocs, s.puts), (2, 1, 1, 1));
     }

@@ -26,14 +26,11 @@ pub enum CollectiveKind {
     AllGather,
     /// Sum-reduce, leaving each rank with one shard.
     ReduceScatter,
-    /// One root's buffer to all ranks.
-    Broadcast,
 }
 
 impl CollectiveKind {
     /// All kinds (for iteration in reports).
-    pub const ALL: [CollectiveKind; 4] =
-        [Self::AllReduce, Self::AllGather, Self::ReduceScatter, Self::Broadcast];
+    pub const ALL: [CollectiveKind; 3] = [Self::AllReduce, Self::AllGather, Self::ReduceScatter];
 
     /// Stable snake-case name, used as the metric-name stem.
     pub fn name(&self) -> &'static str {
@@ -41,7 +38,6 @@ impl CollectiveKind {
             Self::AllReduce => "all_reduce",
             Self::AllGather => "all_gather",
             Self::ReduceScatter => "reduce_scatter",
-            Self::Broadcast => "broadcast",
         }
     }
 
@@ -50,7 +46,6 @@ impl CollectiveKind {
             Self::AllReduce => 0,
             Self::AllGather => 1,
             Self::ReduceScatter => 2,
-            Self::Broadcast => 3,
         }
     }
 
@@ -59,7 +54,6 @@ impl CollectiveKind {
     ///
     /// * all-gather / reduce-scatter: `(n-1)/n · total`
     /// * all-reduce: `2(n-1)/n · total` (reduce-scatter + all-gather)
-    /// * broadcast: `(n-1)/n · total` (pipelined ring)
     pub fn ring_bytes_per_rank(&self, total_bytes: u64, n: usize) -> u64 {
         if n <= 1 {
             return 0;
@@ -67,7 +61,7 @@ impl CollectiveKind {
         let frac = |b: u64| b * (n as u64 - 1) / n as u64;
         match self {
             Self::AllReduce => 2 * frac(total_bytes),
-            Self::AllGather | Self::ReduceScatter | Self::Broadcast => frac(total_bytes),
+            Self::AllGather | Self::ReduceScatter => frac(total_bytes),
         }
     }
 }
@@ -79,8 +73,8 @@ pub struct TrafficCounter {
     registry: Arc<MetricsRegistry>,
     /// Cached handles indexed by [`CollectiveKind::index`]; recording stays
     /// lock-free even though the metrics live in a shared registry.
-    bytes: [Arc<Counter>; 4],
-    calls: [Arc<Counter>; 4],
+    bytes: [Arc<Counter>; 3],
+    calls: [Arc<Counter>; 3],
 }
 
 impl Default for TrafficCounter {
@@ -98,8 +92,6 @@ pub struct TrafficSnapshot {
     pub all_gather: u64,
     /// Bytes attributed to reduce-scatter.
     pub reduce_scatter: u64,
-    /// Bytes attributed to broadcast.
-    pub broadcast: u64,
     /// Number of collective calls.
     pub calls: u64,
 }
@@ -107,7 +99,7 @@ pub struct TrafficSnapshot {
 impl TrafficSnapshot {
     /// Total bytes across all kinds.
     pub fn total(&self) -> u64 {
-        self.all_reduce + self.all_gather + self.reduce_scatter + self.broadcast
+        self.all_reduce + self.all_gather + self.reduce_scatter
     }
 }
 
@@ -158,7 +150,6 @@ impl TrafficCounter {
             all_reduce: self.bytes_for(CollectiveKind::AllReduce),
             all_gather: self.bytes_for(CollectiveKind::AllGather),
             reduce_scatter: self.bytes_for(CollectiveKind::ReduceScatter),
-            broadcast: self.bytes_for(CollectiveKind::Broadcast),
             calls: self.calls.iter().map(|c| c.get()).sum(),
         }
     }
@@ -182,7 +173,6 @@ mod tests {
         assert_eq!(CollectiveKind::AllGather.ring_bytes_per_rank(800, 8), 700);
         assert_eq!(CollectiveKind::ReduceScatter.ring_bytes_per_rank(800, 8), 700);
         assert_eq!(CollectiveKind::AllReduce.ring_bytes_per_rank(800, 8), 1400);
-        assert_eq!(CollectiveKind::Broadcast.ring_bytes_per_rank(800, 8), 700);
     }
 
     #[test]

@@ -807,7 +807,6 @@ impl<M: Module> FsdpRank<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::PrefetchPolicy;
     use geofm_collectives::{HierarchyLayout, ProcessGroups};
     use geofm_nn::{Linear, ParamVisitor};
     use geofm_tensor::{Tensor, TensorRng};
@@ -859,12 +858,7 @@ mod tests {
         let shard_size = strategy.shard_group_size(world);
         let groups =
             ProcessGroups::hierarchy(HierarchyLayout { world, shard_size });
-        let config = FsdpConfig {
-            strategy,
-            prefetch: PrefetchPolicy::BackwardPre,
-            limit_all_gathers: true,
-            overlap: crate::strategy::OverlapConfig::off(),
-        };
+        let config = FsdpConfig::tuned(strategy);
         let results: Vec<std::sync::Mutex<Option<Vec<f32>>>> =
             (0..world).map(|_| std::sync::Mutex::new(None)).collect();
         std::thread::scope(|s| {

@@ -84,9 +84,9 @@ impl ShardingStrategy {
     }
 }
 
-/// Backward-prefetch policy (§IV-B). In the real threaded engine this only
-/// changes issue order (numerics are identical); the Frontier simulator
-/// prices the overlap differences (Figure 2).
+/// Backward-prefetch policy (§IV-B). Only the Frontier simulator reads it
+/// (`SimConfig::prefetch`), pricing the overlap differences of Figure 2.
+/// The threaded engine's gather window is [`OverlapConfig::prefetch_depth`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefetchPolicy {
     /// Request next unit's parameters only after the current unit's
@@ -162,25 +162,15 @@ impl Default for OverlapConfig {
 pub struct FsdpConfig {
     /// Sharding strategy.
     pub strategy: ShardingStrategy,
-    /// Backward prefetch policy.
-    pub prefetch: PrefetchPolicy,
-    /// Rate-limit in-flight all-gathers (§IV-B `limit_all_gathers`).
-    pub limit_all_gathers: bool,
     /// Comm/compute overlap for the rank-thread engine.
     pub overlap: OverlapConfig,
 }
 
 impl FsdpConfig {
-    /// The paper's best-performing knob settings for a given strategy,
-    /// with blocking collectives (overlap is opt-in via
+    /// `strategy` with blocking collectives (overlap is opt-in via
     /// [`FsdpConfig::overlapped`] so perf baselines stay comparable).
     pub fn tuned(strategy: ShardingStrategy) -> Self {
-        Self {
-            strategy,
-            prefetch: PrefetchPolicy::BackwardPre,
-            limit_all_gathers: true,
-            overlap: OverlapConfig::off(),
-        }
+        Self { strategy, overlap: OverlapConfig::off() }
     }
 
     /// [`FsdpConfig::tuned`] with the comm/compute overlap engine on.
@@ -259,10 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn tuned_config_uses_paper_best() {
+    fn tuned_config_is_blocking() {
         let c = FsdpConfig::tuned(ShardingStrategy::FullShard);
-        assert_eq!(c.prefetch, PrefetchPolicy::BackwardPre);
-        assert!(c.limit_all_gathers);
         assert!(!c.overlap.enabled, "overlap is opt-in");
     }
 
@@ -273,6 +261,5 @@ mod tests {
         assert!(c.overlap.prefetch_depth >= 1);
         // everything else matches the tuned baseline
         assert_eq!(c.strategy, ShardingStrategy::FullShard);
-        assert_eq!(c.prefetch, PrefetchPolicy::BackwardPre);
     }
 }

@@ -415,66 +415,6 @@ fn chaos_schedule(seed: u64) {
             );
         }
     }
-
-    // Odd seeds (the overlap-engine seeds) additionally drive the SimNet
-    // transport: the same data plane behind a seeded jittery wire. A
-    // pinned mixed-op exchange must come back bit-identical to the
-    // reference semantics regardless of the per-(seed, rank, op) delays —
-    // the chaos-suite face of transport law 1. The leg runs strictly
-    // AFTER every training assertion, on its own fault-free plan, so
-    // training outcomes stay byte-identical to the pre-SimNet era.
-    if seed % 2 == 1 {
-        simnet_exchange_leg(seed);
-    }
-}
-
-/// Deterministic SimNet exchange: world 2, four mixed ops per rank,
-/// results checked against `reference_result` (the loopback oracle).
-fn simnet_exchange_leg(seed: u64) {
-    use geofm_collectives::transport::{reference_result, Transport, TransportOp};
-    use geofm_collectives::{SimNetConfig, SimNetTransport};
-
-    const SIMNET_WORLD: usize = 2;
-    let op_for = |rank: usize, i: usize| {
-        let vals: Vec<f32> =
-            (0..4).map(|j| (seed % 97) as f32 + (rank * 100 + i * 7 + j) as f32).collect();
-        match i % 3 {
-            0 => TransportOp::AllReduce(vals),
-            1 => TransportOp::AllGather(vals),
-            _ => TransportOp::ReduceScatter(vals),
-        }
-    };
-    let cfg = SimNetConfig {
-        base_latency: Duration::from_micros(2),
-        jitter: Duration::from_micros(10),
-        ..SimNetConfig::default()
-    };
-    let endpoints = SimNetTransport::create(SIMNET_WORLD, seed, None, cfg);
-    std::thread::scope(|s| {
-        for mut t in endpoints {
-            s.spawn(move || {
-                let rank = t.rank();
-                let ops: Vec<TransportOp> = (0..4).map(|i| op_for(rank, i)).collect();
-                let tickets = t.submit(ops);
-                for (i, ticket) in tickets.into_iter().enumerate() {
-                    let got = t.wait(ticket).expect("fault-free simnet wire");
-                    let inputs: Vec<Vec<f32>> = (0..SIMNET_WORLD)
-                        .map(|r| match op_for(r, i) {
-                            TransportOp::AllReduce(v)
-                            | TransportOp::AllGather(v)
-                            | TransportOp::ReduceScatter(v) => v,
-                        })
-                        .collect();
-                    assert_eq!(
-                        got,
-                        reference_result(&op_for(rank, i), &inputs, rank),
-                        "seed {seed}: simnet rank {rank} op {i} diverged from reference"
-                    );
-                }
-                t.quiesce();
-            });
-        }
-    });
 }
 
 fn chaos_range(lo: u64, hi: u64) {
