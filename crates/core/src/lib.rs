@@ -26,5 +26,6 @@ pub use recipe::RecipeConfig;
 /// that needs it — because `geofm-core` sits at the *top* of the workspace
 /// graph and hosting it here would cycle; every consumer (checkpoint
 /// footers here, collective payload checksums in `geofm-collectives`,
-/// step checkpoints in `geofm-resilience`) shares this one table.
+/// GEOFMCK3 training checkpoints in `geofm-resilience`) shares this one
+/// table.
 pub use geofm_resilience::{crc32, crc32_update};

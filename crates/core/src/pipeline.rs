@@ -68,9 +68,9 @@ pub struct ProbePoint {
     pub epoch: usize,
     /// Training loss.
     pub train_loss: f32,
-    /// Test top-1 accuracy in [0,1].
+    /// Test top-1 accuracy in `[0, 1]`.
     pub top1: f32,
-    /// Test top-5 accuracy in [0,1].
+    /// Test top-5 accuracy in `[0, 1]`.
     pub top5: f32,
 }
 

@@ -750,7 +750,7 @@ impl<M: Module> FsdpRank<M> {
         out
     }
 
-    /// Snapshot this rank's durable state for a step checkpoint: the owned
+    /// Snapshot this rank's durable state for a checkpoint: the owned
     /// parameter shards and the sharded AdamW state. Exact f32 values — a
     /// restore from this snapshot resumes bit-identically.
     pub fn export_state(&self) -> (Vec<f32>, AdamWState) {

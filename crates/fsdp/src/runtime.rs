@@ -56,9 +56,7 @@ use crate::sentinel::Sentinel;
 use crate::trainer::{GuardConfig, ResilienceConfig};
 use geofm_collectives::{CorruptPayload, RankGroups};
 use geofm_nn::{AdamWState, Module};
-use geofm_resilience::{
-    ElasticCheckpoint, FaultPlan, GuardReport, RankFailure, RankSlot, StepCheckpoint,
-};
+use geofm_resilience::{ElasticCheckpoint, FaultPlan, GuardReport, RankFailure};
 use geofm_telemetry::Telemetry;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -81,7 +79,7 @@ pub enum Stage {
     Guard,
     /// Fault injection (chaos harness only).
     Inject,
-    /// Step checkpointing (legacy + elastic two-barrier protocol).
+    /// GEOFMCK3 checkpointing (two-barrier protocol).
     Checkpoint,
     /// Failure-path comm drain.
     Drain,
@@ -466,12 +464,13 @@ pub struct GuardMw<'a> {
 impl<'a> GuardMw<'a> {
     /// Build the guard for one rank. Must be constructed **after** the
     /// resume restore so the initial rollback snapshot captures the
-    /// restored state.
+    /// restored state. Every attempt starts with an empty rank-local loss
+    /// series (a resume's earlier losses live in the checkpoint), so the
+    /// initial snapshot truncates the series to nothing.
     pub fn new<M: Module>(
         gc: &'a GuardConfig,
         fr: &FsdpRank<M>,
         start_step: usize,
-        losses_len: usize,
         slot: &'a Mutex<Option<GuardReport>>,
         tel: Option<Arc<Telemetry>>,
     ) -> Self {
@@ -486,7 +485,7 @@ impl<'a> GuardMw<'a> {
             snap_params,
             snap_adam,
             snap_step: start_step,
-            snap_losses_len: losses_len,
+            snap_losses_len: 0,
         }
     }
 }
@@ -721,15 +720,23 @@ impl<M: Module> RankMiddleware<M> for InjectMw<'_> {
 // Checkpoint
 // ---------------------------------------------------------------------------
 
+/// One rank's deposit in the two-barrier checkpoint protocol: its owned
+/// shards, AdamW state and the attempt's local losses.
+pub(crate) struct RankSlot {
+    params: Vec<f32>,
+    adam: AdamWState,
+    losses: Vec<f32>,
+}
+
 /// The two-barrier checkpoint protocol: every rank deposits its slot,
-/// barrier, rank 0 assembles and persists (legacy [`StepCheckpoint`]
-/// and/or world-size-independent [`ElasticCheckpoint`]), barrier. Also
-/// carries the injected checkpoint-writer crash (torn half-write).
+/// barrier, rank 0 assembles the world-size-independent
+/// [`ElasticCheckpoint`], keeps it in memory for restarts and persists it
+/// when a path is configured, barrier. Also carries the injected
+/// checkpoint-writer crash (torn half-write of the `.tmp` sibling).
 pub struct CheckpointMw<'a> {
     resilience: &'a ResilienceConfig,
-    elastic_on: bool,
-    elastic_disk: Option<&'a Path>,
-    elastic_snapshot: &'a Mutex<Option<ElasticCheckpoint>>,
+    disk: Option<&'a Path>,
+    snapshot: &'a Mutex<Option<ElasticCheckpoint>>,
     slots: &'a [Mutex<Option<RankSlot>>],
     loss_prefix: &'a [f32],
     units: Vec<usize>,
@@ -740,28 +747,17 @@ pub struct CheckpointMw<'a> {
 impl<'a> CheckpointMw<'a> {
     /// Build the checkpoint middleware for one rank.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         resilience: &'a ResilienceConfig,
-        elastic_on: bool,
-        elastic_disk: Option<&'a Path>,
-        elastic_snapshot: &'a Mutex<Option<ElasticCheckpoint>>,
+        disk: Option<&'a Path>,
+        snapshot: &'a Mutex<Option<ElasticCheckpoint>>,
         slots: &'a [Mutex<Option<RankSlot>>],
         loss_prefix: &'a [f32],
         units: Vec<usize>,
         shard_size: usize,
         tel: Option<Arc<Telemetry>>,
     ) -> Self {
-        Self {
-            resilience,
-            elastic_on,
-            elastic_disk,
-            elastic_snapshot,
-            slots,
-            loss_prefix,
-            units,
-            shard_size,
-            tel,
-        }
+        Self { resilience, disk, snapshot, slots, loss_prefix, units, shard_size, tel }
     }
 }
 
@@ -772,21 +768,13 @@ impl<M: Module> RankMiddleware<M> for CheckpointMw<'_> {
 
     fn on_step(&mut self, fr: &mut FsdpRank<M>, cx: &mut StepCx<'_>) -> Result<(), RankFailure> {
         let done = cx.step + 1;
-        if !(self.resilience.checkpoint_every > 0
-            && done.is_multiple_of(self.resilience.checkpoint_every)
-            && (self.resilience.checkpoint_path.is_some() || self.elastic_on))
-        {
+        let every = self.resilience.checkpoint_every;
+        if every == 0 || !done.is_multiple_of(every) {
             return Ok(());
         }
         let (rank, step, world) = (cx.rank, cx.step, cx.world);
         let (params, adam) = fr.export_state();
-        *lock(&self.slots[rank]) = Some(RankSlot {
-            params,
-            adam_m: adam.m,
-            adam_v: adam.v,
-            adam_t: adam.t,
-            losses: cx.local_losses.clone(),
-        });
+        *lock(&self.slots[rank]) = Some(RankSlot { params, adam, losses: cx.local_losses.clone() });
         if let Err(lost) = fr.try_world_barrier() {
             fr.poison_groups();
             return Err(fail(rank, step, lost.to_string()));
@@ -797,68 +785,43 @@ impl<M: Module> RankMiddleware<M> for CheckpointMw<'_> {
                 .iter()
                 .map(|m| lock(m).take().expect("every rank deposits a slot pre-barrier"))
                 .collect();
+            // assemble the GEOFMCK3 image: state is replicated across shard
+            // groups, so the first group's shards carry everything
+            let layout = FlatLayout::new(&self.units, self.shard_size);
+            let take = |f: fn(&RankSlot) -> &Vec<f32>| -> Vec<Vec<f32>> {
+                ranks[..self.shard_size].iter().map(|s| f(s).clone()).collect()
+            };
+            let mut mean_losses = self.loss_prefix.to_vec();
+            for i in 0..ranks[0].losses.len() {
+                mean_losses.push(ranks.iter().map(|s| s.losses[i]).sum::<f32>() / world as f32);
+            }
+            let ck = ElasticCheckpoint {
+                step: done as u64,
+                world_written: world as u64,
+                shard_n_written: self.shard_size as u64,
+                adam_t: ranks[0].adam.t,
+                unit_sizes: self.units.clone(),
+                params: shards_to_global(&layout, &take(|s| &s.params)),
+                adam_m: shards_to_global(&layout, &take(|s| &s.adam.m)),
+                adam_v: shards_to_global(&layout, &take(|s| &s.adam.v)),
+                mean_losses,
+            };
             if self.resilience.fault_plan.take_checkpoint_crash(step) {
                 // writer dies before any durable or in-memory image
-                // commits; with a legacy path, half the buffer lands in
-                // the .tmp sibling (torn write) — the previous durable
-                // checkpoint survives
+                // commits; with a path, half the image lands in the .tmp
+                // sibling (torn write) — the previous checkpoint survives
                 count(self.tel.as_deref(), "fault.injected_ckpt_crash");
-                if let Some(path) = self.resilience.checkpoint_path.as_ref() {
-                    let ck = StepCheckpoint { step: done as u64, ranks };
+                if let Some(path) = self.disk {
                     let bytes = ck.to_bytes();
                     if let Some(parent) = path.parent() {
                         let _ = std::fs::create_dir_all(parent);
                     }
-                    let _ =
-                        std::fs::write(path.with_extension("tmp"), &bytes[..bytes.len() / 2]);
+                    let _ = std::fs::write(path.with_extension("tmp"), &bytes[..bytes.len() / 2]);
                 }
                 fr.poison_groups();
                 return Err(fail(rank, step, "injected checkpoint-writer crash".into()));
             }
-            if self.elastic_on {
-                // assemble the world-size-independent GEOFMCK3 image:
-                // state is replicated across shard groups, so the first
-                // group's shards carry everything
-                let layout = FlatLayout::new(&self.units, self.shard_size);
-                let take = |f: fn(&RankSlot) -> &Vec<f32>| -> Vec<Vec<f32>> {
-                    ranks[..self.shard_size].iter().map(|s| f(s).clone()).collect()
-                };
-                let mut mean_losses = self.loss_prefix.to_vec();
-                for i in 0..ranks[0].losses.len() {
-                    mean_losses
-                        .push(ranks.iter().map(|s| s.losses[i]).sum::<f32>() / world as f32);
-                }
-                let eck = ElasticCheckpoint {
-                    step: done as u64,
-                    world_written: world as u64,
-                    shard_n_written: self.shard_size as u64,
-                    adam_t: ranks[0].adam_t,
-                    unit_sizes: self.units.clone(),
-                    params: shards_to_global(&layout, &take(|s| &s.params)),
-                    adam_m: shards_to_global(&layout, &take(|s| &s.adam_m)),
-                    adam_v: shards_to_global(&layout, &take(|s| &s.adam_v)),
-                    mean_losses,
-                };
-                if let Some(path) = self.elastic_disk {
-                    let span = self
-                        .tel
-                        .as_deref()
-                        .map(|t| t.phase("reshard.ckpt.write", rank as u64));
-                    let saved = eck.save(path);
-                    drop(span);
-                    if let Err(e) = saved {
-                        fr.poison_groups();
-                        return Err(fail(
-                            rank,
-                            step,
-                            format!("elastic checkpoint write failed: {e}"),
-                        ));
-                    }
-                }
-                *lock(self.elastic_snapshot) = Some(eck);
-            }
-            if let Some(path) = self.resilience.checkpoint_path.as_ref() {
-                let ck = StepCheckpoint { step: done as u64, ranks };
+            if let Some(path) = self.disk {
                 let span = self.tel.as_deref().map(|t| t.phase("ckpt.write", rank as u64));
                 let saved = ck.save(path);
                 drop(span);
@@ -867,6 +830,7 @@ impl<M: Module> RankMiddleware<M> for CheckpointMw<'_> {
                     return Err(fail(rank, step, format!("checkpoint write failed: {e}")));
                 }
             }
+            *lock(self.snapshot) = Some(ck);
             count(self.tel.as_deref(), "fault.checkpoints");
         }
         if let Err(lost) = fr.try_world_barrier() {

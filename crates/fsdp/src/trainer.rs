@@ -1,19 +1,22 @@
 //! Convenience harness: run a distributed training job across rank threads
 //! and collect the result.
 //!
-//! Two entry points:
+//! Five entry points, all funnelling into one restart loop:
 //!
-//! * [`run_data_parallel`] — the classic infallible harness. Any rank
-//!   failure (there should be none without fault injection) panics with a
-//!   structured report.
+//! * [`run_data_parallel`] / [`run_data_parallel_with_telemetry`] — the
+//!   infallible harness. Any rank failure (there should be none without
+//!   fault injection) panics with a structured report.
 //! * [`try_run_data_parallel`] — the resilient harness. A [`ResilienceConfig`]
-//!   supplies a deterministic [`FaultPlan`], a step-checkpoint cadence, a
+//!   supplies a deterministic [`FaultPlan`], a checkpoint cadence, a
 //!   bounded collective timeout, and a restart budget. A rank that crashes
 //!   (injected or a real panic in `compute`) poisons its groups so every
 //!   peer surfaces `Err(RankLost)` within one timeout period; the harness
-//!   then restarts the world from the last durable checkpoint, resuming
-//!   **bit-identically** — the final parameters equal those of a run that
-//!   never failed.
+//!   then restarts the world from the latest GEOFMCK3 checkpoint (or from
+//!   scratch without one), resuming **bit-identically** — the final
+//!   parameters equal those of a run that never failed.
+//! * [`try_run_elastic`] — the loop itself, with a world-aware `compute`
+//!   so the world can shrink and re-grow; [`try_run_streaming`] feeds it
+//!   from an [`IngestPlane`].
 
 use crate::flat::FlatLayout;
 use crate::health::HealthMonitor;
@@ -21,7 +24,7 @@ use crate::rank::{FsdpRank, StepError};
 use crate::reshard::global_to_shard;
 use crate::runtime::{
     self, CheckpointMw, Control, DrainMw, DrainPolicy, GuardMw, HealthMw, InjectMw, ProbeMw,
-    RankMiddleware, RuntimeStack, StepCx,
+    RankMiddleware, RankSlot, RuntimeStack, StepCx,
 };
 use crate::sentinel::SentinelConfig;
 use crate::strategy::{FsdpConfig, ShardingStrategy};
@@ -33,7 +36,7 @@ use geofm_nn::{AdamWState, Module};
 use geofm_data::stream::{Batch, IngestPlane};
 use geofm_resilience::{
     DataReport, DegradedReport, ElasticCheckpoint, FailureReport, FaultPlan, GuardReport,
-    RankFailure, RankSlot, ReshardSummary, StepCheckpoint,
+    RankFailure, ReshardSummary,
 };
 use geofm_telemetry::Telemetry;
 use std::collections::BTreeSet;
@@ -139,11 +142,11 @@ pub struct ElasticConfig {
     /// Never shrink below this many ranks; a departure that would is a
     /// hard failure (the structured report names the limit).
     pub min_world: usize,
-    /// Where the world-size-independent GEOFMCK3 checkpoint lives. When
-    /// set, every checkpoint cadence also writes the elastic image
-    /// (crash-safely) and a cold start resumes from it at **any** world
-    /// size. `None` keeps the elastic image in memory only — shrink/grow
-    /// still reshard live from the last in-memory snapshot.
+    /// Where the GEOFMCK3 checkpoint lives on disk. When set, every
+    /// checkpoint cadence also writes the image (crash-safely) and a cold
+    /// start resumes from it at **any** world size. `None` keeps the image
+    /// in memory only — restarts, shrinks and grows still resume from the
+    /// latest in-memory image.
     pub checkpoint_path: Option<PathBuf>,
     /// Bound on each phase of the survivor-consensus round run between
     /// drain and reshard (see [`SurvivorConsensus`]).
@@ -165,8 +168,10 @@ impl Default for ElasticConfig {
 /// [`ResilienceConfig::guard`] turns on (a) checksum verification in every
 /// reduce collective, (b) a per-step guard exchange (world all-reduce of
 /// `[local loss, corruption flag]`) whose result is identical on every
-/// rank, (c) [`Sentinel`] screening of that agreed mean loss and the
-/// global grad norm, and (d) deterministic rollback-and-skip on any trip.
+/// rank, (c) [`Sentinel`](crate::Sentinel) screening of that agreed mean
+/// loss and the global grad norm, and (d) deterministic rollback-and-skip
+/// on any trip. The guard's rollback snapshots are in memory and separate
+/// from the GEOFMCK3 checkpoints.
 #[derive(Debug, Clone)]
 pub struct GuardConfig {
     /// Sentinel thresholds (NaN/Inf guard + robust z-score spike
@@ -198,19 +203,19 @@ impl Default for GuardConfig {
     }
 }
 
-/// Fault-tolerance policy for [`try_run_data_parallel`].
+/// Fault-tolerance policy for [`try_run_data_parallel`],
+/// [`try_run_elastic`] and [`try_run_streaming`].
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Deterministic fault schedule shared by all rank threads. Crash-type
     /// events are one-shot: they fire on the first attempt only, so the
     /// post-restart re-execution runs through.
     pub fault_plan: Arc<FaultPlan>,
-    /// Take a step checkpoint every this many completed steps (0 = never).
-    /// Requires `checkpoint_path`.
+    /// Assemble a GEOFMCK3 checkpoint every this many completed steps
+    /// (0 = never). The image is kept in memory, and a restart resumes
+    /// from the latest one whatever the `elastic` setting; it is also
+    /// written to disk when [`ElasticConfig::checkpoint_path`] is set.
     pub checkpoint_every: usize,
-    /// Where the checkpoint lives. Written crash-safely (tmp + fsync +
-    /// rename, CRC32 footer); a restart resumes from it if present & valid.
-    pub checkpoint_path: Option<PathBuf>,
     /// Bound on every barrier wait inside collectives. A rank that dies
     /// without poisoning its groups (hard kill) still unblocks its peers
     /// within this bound. `None` waits forever (poisoning still observed).
@@ -229,14 +234,16 @@ pub struct ResilienceConfig {
     pub straggler_threshold: f64,
     /// Silent-data-corruption / loss-spike defense. `Some` enables
     /// checksummed reduce collectives, the per-step guard exchange,
-    /// [`Sentinel`] screening and deterministic rollback-and-skip (see
-    /// [`GuardConfig`]). `None` runs unguarded — injected corruption
-    /// propagates silently, exactly like un-checksummed hardware.
+    /// [`Sentinel`](crate::Sentinel) screening and deterministic
+    /// rollback-and-skip (see [`GuardConfig`]). `None` runs unguarded —
+    /// injected corruption propagates silently, exactly like
+    /// un-checksummed hardware.
     pub guard: Option<GuardConfig>,
     /// Elastic resharding: `Some` lets the harness shrink the world and
     /// continue after a permanent rank departure (and re-grow on a spare
     /// rejoin) instead of burning restarts at a world size that can no
     /// longer assemble. `None` treats departures like ordinary crashes.
+    /// Its [`ElasticConfig::checkpoint_path`] is where checkpoints persist.
     pub elastic: Option<ElasticConfig>,
 }
 
@@ -248,34 +255,12 @@ impl ResilienceConfig {
         Self {
             fault_plan: Arc::new(FaultPlan::none()),
             checkpoint_every: 0,
-            checkpoint_path: None,
             collective_timeout: Some(Duration::from_secs(60)),
             max_restarts: 0,
             adaptive_timeout: None,
             straggler_threshold: 2.5,
             guard: None,
             elastic: None,
-        }
-    }
-}
-
-/// Where an attempt's initial state comes from.
-enum ResumeSource {
-    /// No prior state: start at step 0 from the seeded model.
-    Fresh,
-    /// The legacy world-size-locked step checkpoint (GEOFMSC1).
-    Legacy(StepCheckpoint),
-    /// A world-size-independent elastic checkpoint (GEOFMCK3): shards are
-    /// re-derived from the global image under the attempt's own layout.
-    Elastic(ElasticCheckpoint),
-}
-
-impl ResumeSource {
-    fn start_step(&self) -> usize {
-        match self {
-            Self::Fresh => 0,
-            Self::Legacy(ck) => ck.step as usize,
-            Self::Elastic(ck) => ck.step as usize,
         }
     }
 }
@@ -363,8 +348,8 @@ where
 
 /// Fault-tolerant [`run_data_parallel`]: injects the faults scheduled in
 /// `resilience.fault_plan`, checkpoints at the configured cadence, and
-/// restarts the world from the last durable checkpoint after a failed
-/// attempt (up to `max_restarts` times). Returns the structured
+/// restarts the world from the latest checkpoint after a failed attempt
+/// (up to `max_restarts` times). Returns the structured
 /// [`FailureReport`] when the restart budget is exhausted.
 ///
 /// Recovery is **bit-identical**: a run that crashes and resumes produces
@@ -550,8 +535,8 @@ where
             .collect()
     });
 
-    // the latest world-size-independent snapshot; a cold start picks up the
-    // durable GEOFMCK3 image if the elastic config points at one
+    // the latest GEOFMCK3 image, which every attempt resumes from; a cold
+    // start picks up the durable image if the elastic config points at one
     let elastic_snapshot: Mutex<Option<ElasticCheckpoint>> = Mutex::new(
         resilience
             .elastic
@@ -573,22 +558,9 @@ where
                 t.reset();
             }
         }
-        // resume priority: elastic snapshot (world-independent, usable at
-        // any size) > legacy step checkpoint (must match the world) > fresh
-        let resume = match lock(&elastic_snapshot).clone() {
-            Some(ck) if resilience.elastic.is_some() => ResumeSource::Elastic(ck),
-            _ => match resilience
-                .checkpoint_path
-                .as_deref()
-                .and_then(StepCheckpoint::load)
-                .filter(|ck| ck.ranks.len() == cur_world && (ck.step as usize) <= steps)
-            {
-                Some(ck) => ResumeSource::Legacy(ck),
-                None => ResumeSource::Fresh,
-            },
-        };
+        let resume = lock(&elastic_snapshot).clone();
         if failure.restarts_used > 0 {
-            failure.resumed_from_step = Some(resume.start_step() as u64);
+            failure.resumed_from_step = Some(resume.as_ref().map_or(0, |ck| ck.step));
         }
         if let (Some(t), Some(_)) = (telemetry.as_deref(), resilience.elastic.as_ref()) {
             t.metrics.gauge("reshard.world").set(cur_world as i64);
@@ -783,7 +755,7 @@ struct ElasticRuntime<'a> {
     on: bool,
     /// A spare may rejoin (the world is below its original size).
     can_grow: bool,
-    /// Latest in-memory world-size-independent snapshot.
+    /// Latest in-memory GEOFMCK3 image.
     snapshot: &'a Mutex<Option<ElasticCheckpoint>>,
     /// Durable GEOFMCK3 location, if configured.
     disk: Option<&'a Path>,
@@ -792,9 +764,10 @@ struct ElasticRuntime<'a> {
     trackers: Option<&'a [Arc<AdaptiveTimeout>]>,
 }
 
-/// One attempt: fresh process groups, all ranks run `start_step..steps`.
-/// `Err` carries every rank failure observed this attempt (the root cause
-/// plus the cascading `RankLost` of its peers).
+/// One attempt: fresh process groups, all ranks restore from `resume` (or
+/// start fresh without one) and run `start_step..steps`. `Err` carries
+/// every rank failure observed this attempt (the root cause plus the
+/// cascading `RankLost` of its peers).
 #[allow(clippy::too_many_arguments)]
 fn run_attempt<M, FM, FC, FL>(
     config: FsdpConfig,
@@ -806,7 +779,7 @@ fn run_attempt<M, FM, FC, FL>(
     lr_at: &FL,
     telemetry: Option<&Arc<Telemetry>>,
     resilience: &ResilienceConfig,
-    resume: ResumeSource,
+    resume: Option<ElasticCheckpoint>,
     health: &HealthMonitor,
     guard_slot: &Mutex<Option<GuardReport>>,
     elastic: &ElasticRuntime<'_>,
@@ -833,14 +806,12 @@ where
         tel.metrics.gauge("overlap.enabled").set(i64::from(config.overlap.enabled));
         tel.metrics.gauge("overlap.prefetch.depth").set(config.overlap.prefetch_depth as i64);
     }
-    let start_step = resume.start_step();
-    // an elastic resume re-derives shards from the global image, so the
-    // per-rank loss series covers only `start_step..steps`; the world-mean
-    // prefix for the earlier steps comes from the checkpoint itself
-    let loss_prefix: Vec<f32> = match &resume {
-        ResumeSource::Elastic(ck) => ck.mean_losses.clone(),
-        _ => Vec::new(),
-    };
+    let start_step = resume.as_ref().map_or(0, |ck| ck.step as usize);
+    // a resume re-derives shards from the global image, so the per-rank
+    // loss series covers only `start_step..steps`; the world-mean prefix
+    // for the earlier steps comes from the checkpoint itself
+    let loss_prefix: Vec<f32> =
+        resume.as_ref().map(|ck| ck.mean_losses.clone()).unwrap_or_default();
 
     let params_out: Mutex<Option<Vec<f32>>> = Mutex::new(None);
     let losses: Vec<Mutex<Vec<f32>>> = (0..world).map(|_| Mutex::new(Vec::new())).collect();
@@ -887,38 +858,23 @@ where
                         fr = fr.with_telemetry(Arc::clone(tel));
                     }
                     let mut local_losses: Vec<f32> = Vec::with_capacity(steps);
-                    match resume {
-                        ResumeSource::Fresh => {}
-                        ResumeSource::Legacy(ck) => {
-                            let slot = &ck.ranks[rank];
-                            fr.restore_state(
-                                &slot.params,
-                                AdamWState {
-                                    m: slot.adam_m.clone(),
-                                    v: slot.adam_v.clone(),
-                                    t: slot.adam_t,
-                                },
-                            );
-                            local_losses.extend_from_slice(&slot.losses);
+                    if let Some(ck) = resume {
+                        // world-size-independent resume: carve this rank's
+                        // shards out of the global image under the
+                        // attempt's own layout
+                        if let Err(e) = ck.validate_units(&units) {
+                            fr.poison_groups();
+                            return Err(fail(
+                                start_step,
+                                format!("elastic checkpoint rejected: {e}"),
+                            ));
                         }
-                        ResumeSource::Elastic(ck) => {
-                            // world-size-independent resume: carve this
-                            // rank's shards out of the global image under
-                            // the attempt's own layout
-                            if let Err(e) = ck.validate_units(&units) {
-                                fr.poison_groups();
-                                return Err(fail(
-                                    start_step,
-                                    format!("elastic checkpoint rejected: {e}"),
-                                ));
-                            }
-                            let layout = FlatLayout::new(&units, shard_size);
-                            let sr = fr.shard_rank();
-                            let params = global_to_shard(&layout, &ck.params, sr);
-                            let m = global_to_shard(&layout, &ck.adam_m, sr);
-                            let v = global_to_shard(&layout, &ck.adam_v, sr);
-                            fr.restore_state(&params, AdamWState { m, v, t: ck.adam_t });
-                        }
+                        let layout = FlatLayout::new(&units, shard_size);
+                        let sr = fr.shard_rank();
+                        let params = global_to_shard(&layout, &ck.params, sr);
+                        let m = global_to_shard(&layout, &ck.adam_m, sr);
+                        let v = global_to_shard(&layout, &ck.adam_v, sr);
+                        fr.restore_state(&params, AdamWState { m, v, t: ck.adam_t });
                     }
 
                     // ---- middleware stack (built post-restore so the
@@ -943,7 +899,6 @@ where
                             gc,
                             &fr,
                             start_step,
-                            local_losses.len(),
                             guard_slot,
                             telemetry.clone(),
                         )));
@@ -960,7 +915,6 @@ where
                     observe!();
                     mws.push(Box::new(CheckpointMw::new(
                         resilience,
-                        elastic.on,
                         elastic.disk,
                         elastic.snapshot,
                         slots,
@@ -1137,8 +1091,8 @@ where
     }
 
     let per_rank: Vec<Vec<f32>> = losses.iter().map(|m| lock(m).clone()).collect();
-    // with an elastic resume the rank-local series covers start_step..steps
-    // and the earlier world means come from the checkpoint prefix
+    // with a resume the rank-local series covers start_step..steps and the
+    // earlier world means come from the checkpoint prefix
     let local_steps = steps - loss_prefix.len();
     if per_rank.iter().any(|l| l.len() != local_steps) {
         return Err(vec![RankFailure {
@@ -1357,9 +1311,6 @@ mod tests {
 
     #[test]
     fn crash_recovery_from_checkpoint_is_bit_identical() {
-        let dir = ckpt_dir("bitident");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("latest.ckpt");
         let steps = 6;
 
         let clean = run_resilient(
@@ -1373,7 +1324,6 @@ mod tests {
         let resilience = ResilienceConfig {
             fault_plan: Arc::new(FaultPlan::none().with_rank_crash(1, 4)),
             checkpoint_every: 2,
-            checkpoint_path: Some(path.clone()),
             collective_timeout: Some(Duration::from_secs(5)),
             max_restarts: 1,
             ..ResilienceConfig::disabled()
@@ -1386,36 +1336,45 @@ mod tests {
             "recovered run must be bit-identical to the uninterrupted run"
         );
         assert_eq!(clean.mean_losses, recovered.mean_losses);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_checkpoint_write_leaves_previous_durable() {
         let dir = ckpt_dir("torn");
         let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("latest.ckpt");
-        let steps = 6;
+        let path = dir.join("latest.ck3");
         // checkpoint after steps 2 and 4; the step-4 write is torn mid-buffer
         // (and the writer dies), so recovery resumes from step 2
-        let resilience = ResilienceConfig {
-            fault_plan: Arc::new(FaultPlan::none().with_checkpoint_crash(3)),
+        let torn = || FaultPlan::none().with_checkpoint_crash(3);
+        let config = |plan: FaultPlan, max_restarts, on_disk: bool| ResilienceConfig {
+            fault_plan: Arc::new(plan),
             checkpoint_every: 2,
-            checkpoint_path: Some(path.clone()),
             collective_timeout: Some(Duration::from_secs(5)),
-            max_restarts: 1,
+            max_restarts,
+            elastic: on_disk.then(|| ElasticConfig {
+                checkpoint_path: Some(path.clone()),
+                ..ElasticConfig::default()
+            }),
             ..ResilienceConfig::disabled()
         };
-        let clean = run_resilient(
-            ShardingStrategy::ShardGradOp,
-            2,
-            steps,
-            ResilienceConfig::disabled(),
-        )
-        .expect("clean run");
-        let recovered = run_resilient(ShardingStrategy::ShardGradOp, 2, steps, resilience)
-            .expect("must recover from the pre-torn checkpoint");
+        let run = |r| run_resilient(ShardingStrategy::ShardGradOp, 2, 6, r);
+        let clean = run(ResilienceConfig::disabled()).expect("clean run");
+        let recovered = run(config(torn(), 1, false)).expect("must recover from the step-2 image");
         assert_eq!(recovered.restarts, 1);
         assert_eq!(clean.final_params, recovered.final_params);
+
+        // on disk with no restart budget: the step-2 image stays durable and
+        // the torn `.tmp` sibling never parses
+        let err = run(config(torn(), 0, true)).expect_err("the writer crash fails the run");
+        let cause = "injected checkpoint-writer crash";
+        assert!(err.failures.iter().any(|f| f.cause == cause), "{err}");
+        assert_eq!(ElasticCheckpoint::load(&path).expect("previous image survives").step, 2);
+        let tmp = std::fs::read(path.with_extension("tmp")).expect("torn sibling exists");
+        assert!(ElasticCheckpoint::from_bytes(&tmp).is_err(), "a torn image must not parse");
+        // a cold restart from the same path finishes as if nothing happened
+        let resumed = run(config(FaultPlan::none(), 0, true)).expect("cold restart from disk");
+        assert_eq!(bits(&clean.final_params), bits(&resumed.final_params));
+        assert_eq!(bits(&clean.mean_losses), bits(&resumed.mean_losses));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1438,9 +1397,6 @@ mod tests {
 
     #[test]
     fn hung_rank_is_detected_by_adaptive_timeout_and_recovered_elastically() {
-        let dir = ckpt_dir("hang");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("latest.ckpt");
         let steps = 6;
 
         let clean = run_resilient(
@@ -1457,7 +1413,6 @@ mod tests {
         let resilience = ResilienceConfig {
             fault_plan: Arc::new(FaultPlan::none().with_hang_rank(1, 3)),
             checkpoint_every: 2,
-            checkpoint_path: Some(path.clone()),
             collective_timeout: Some(Duration::from_secs(30)),
             max_restarts: 1,
             adaptive_timeout: Some(geofm_collectives::AdaptiveTimeoutConfig {
@@ -1482,7 +1437,6 @@ mod tests {
              (took {:?})",
             start.elapsed()
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1951,13 +1905,9 @@ mod tests {
     fn leave_without_elastic_config_restarts_at_full_world() {
         // elastic off: a departure is just a crash — the world restarts at
         // the same size and (the leave being one-shot) runs through.
-        let dir = ckpt_dir("leave-inelastic");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let resilience = ResilienceConfig {
             fault_plan: Arc::new(FaultPlan::none().with_rank_leave(1, 2)),
             checkpoint_every: 2,
-            checkpoint_path: Some(dir.join("step.ck")),
             collective_timeout: Some(Duration::from_secs(5)),
             max_restarts: 1,
             ..ResilienceConfig::disabled()
@@ -1966,6 +1916,5 @@ mod tests {
             .expect("one-shot leave with restart budget must recover");
         assert_eq!(report.restarts, 1);
         assert!(report.reshard.events.is_empty(), "no elastic config, no reshard");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,12 +1,11 @@
-//! World-size-independent elastic checkpoints (format `GEOFMCK3`).
+//! World-size-independent training checkpoints (format `GEOFMCK3`), the
+//! trainer's one checkpoint format.
 //!
-//! The step checkpoints of [`crate::ckpt`] store *per-rank shards*: a file
-//! written by a world of N ranks can only be resumed by a world of exactly
-//! N ranks. That coupling is what makes a permanently lost rank fatal — the
-//! surviving N−1 ranks hold a perfectly good model but no checkpoint they
-//! can read. `GEOFMCK3` breaks the coupling by storing the **global**
-//! (unsharded, unpadded) state plus the layout needed to re-derive any
-//! sharding:
+//! A checkpoint that stored *per-rank shards* could only be resumed by a
+//! world of exactly the size that wrote it, which makes a permanently lost
+//! rank fatal: the surviving N−1 ranks hold a perfectly good model but no
+//! checkpoint they can read. `GEOFMCK3` stores the **global** (unsharded,
+//! unpadded) state plus the layout needed to re-derive any sharding:
 //!
 //! ```text
 //! GEOFMCK3 | u64 payload_len | payload | u32 crc32(payload)
@@ -24,10 +23,12 @@
 //! stored — it is a function of the shard-group size, so it must be
 //! re-derived by the reader, never trusted from disk.
 //!
-//! Unlike the `Option`-returning legacy readers, every failure here is a
-//! structured [`CkptError`] so callers (and the corruption test suite) can
-//! distinguish truncation from bit rot from a stale format version. A
-//! `GEOFMSC1` or `GEOFMCK2` file fed to this reader is reported as
+//! The loss series must hold exactly `step` entries, since the trainer
+//! resumes its loss curve from it. Every failure is a structured
+//! [`CkptError`] so callers (and the corruption test suite) can distinguish
+//! truncation from bit rot from a stale format version. A file in an older
+//! workspace format (the retired per-rank step checkpoint, or
+//! `geofm-core`'s `GEOFMCK2` encoder cache) is reported as
 //! [`CkptError::LegacyFormat`] rather than a generic bad-magic error, so
 //! upgrade paths can be explicit.
 
@@ -59,7 +60,7 @@ pub enum CkptError {
     /// The magic belongs to an older workspace format that must be
     /// migrated, not silently reinterpreted.
     LegacyFormat {
-        /// The legacy magic as a string (e.g. `"GEOFMSC1"`).
+        /// The legacy magic as a string (e.g. `"GEOFMCK2"`).
         magic: &'static str,
     },
     /// The CRC32 footer does not match the payload (bit rot / torn write).
@@ -255,8 +256,11 @@ impl ElasticCheckpoint {
         let params = read_f32s(&mut off, n_params)?;
         let adam_m = read_f32s(&mut off, n_params)?;
         let adam_v = read_f32s(&mut off, n_params)?;
-        let n_losses = read_u64(&mut off)? as usize;
-        let mean_losses = read_f32s(&mut off, n_losses)?;
+        let n_losses = read_u64(&mut off)?;
+        if n_losses != step {
+            return Err(CkptError::Malformed("loss series length disagrees with step"));
+        }
+        let mean_losses = read_f32s(&mut off, n_losses as usize)?;
         if off != payload.len() {
             return Err(CkptError::Malformed("payload bytes left over"));
         }
@@ -286,8 +290,7 @@ impl ElasticCheckpoint {
         Ok(())
     }
 
-    /// Crash-safe save (`.tmp` sibling → fsync → rename, like the legacy
-    /// formats).
+    /// Crash-safe save (`.tmp` sibling → fsync → rename).
     pub fn save(&self, path: &Path) -> Result<(), CkptError> {
         atomic_write(path, &self.to_bytes()).map_err(|e| CkptError::Io(e.to_string()))
     }
@@ -407,6 +410,20 @@ mod tests {
             ElasticCheckpoint::from_bytes(&bytes),
             Err(CkptError::Malformed("trailing bytes after CRC footer"))
         );
+    }
+
+    #[test]
+    fn loss_series_disagreeing_with_step_is_malformed() {
+        // CRC-valid images whose loss series is longer or shorter than the
+        // step count: a resume would misalign the world-mean loss curve
+        for n_losses in [10, 0, 4, 6] {
+            let ck = ElasticCheckpoint { mean_losses: vec![1.0; n_losses], ..sample() };
+            assert_eq!(
+                ElasticCheckpoint::from_bytes(&ck.to_bytes()),
+                Err(CkptError::Malformed("loss series length disagrees with step")),
+                "{n_losses} losses at step 5"
+            );
+        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl ServeReport {
         self.sum(|t| t.shed_total())
     }
 
-    /// Exact percentile over completion latencies (`q` in [0,1]);
+    /// Exact percentile over completion latencies (`q` in `[0, 1]`);
     /// `None` when nothing completed.
     pub fn latency_percentile(&self, q: f64) -> Option<u64> {
         if self.latencies_ns.is_empty() {

@@ -4,9 +4,9 @@
 //! is an AXPY over a contiguous row of the right operand, which
 //! auto-vectorises well — wrapped in a BLIS-style blocking scheme:
 //!
-//! * rows are processed in panels of [`MC`] (the rayon work grain),
-//! * the reduction dimension in panels of [`KC`],
-//! * the output columns in panels of [`NC`],
+//! * rows are processed in panels of `MC` (the rayon work grain),
+//! * the reduction dimension in panels of `KC`,
+//! * the output columns in panels of `NC`,
 //!
 //! so the `KC × NC` panel of `B` stays resident in L1/L2 while every row of
 //! the `MC` panel consumes it, instead of streaming all of `B` from memory

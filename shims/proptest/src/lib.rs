@@ -192,7 +192,7 @@ impl_tuple_strategy! {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Element count for [`vec`]: fixed or ranged.
+    /// Element count for [`vec`](fn@vec): fixed or ranged.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -263,7 +263,6 @@ fn chaos_schedule(seed: u64) {
     let resilience = ResilienceConfig {
         fault_plan: Arc::clone(&plan),
         checkpoint_every: 2,
-        checkpoint_path: Some(dir.join("step.ckpt")),
         collective_timeout: Some(Duration::from_millis(300)),
         max_restarts: 3,
         adaptive_timeout: Some(AdaptiveTimeoutConfig {

@@ -1,25 +1,24 @@
 //! Corrupted-checkpoint suite: every malformed on-disk artifact must be
-//! *rejected* (`None`), never trusted and never a panic.
+//! *rejected*, never trusted and never a panic.
 //!
-//! Covers every checkpoint format in the workspace:
+//! Covers both checkpoint formats in the workspace:
 //!
 //! * the encoder-level pretraining cache (`geofm_core::checkpoint`,
-//!   `GEOFMCK2` magic) via its explicit-directory API,
-//! * the step-level distributed checkpoint (`geofm_resilience::ckpt`),
-//!   where the payload is small enough to truncate at **every** byte
-//!   boundary exhaustively, and
-//! * the world-size-independent elastic checkpoint (`GEOFMCK3`), abused
+//!   `GEOFMCK2` magic) via its explicit-directory API, and
+//! * the trainer's world-size-independent checkpoint (`GEOFMCK3`), abused
 //!   end-to-end: the file under test is written by the *trainer*, and the
 //!   reader must map truncation / bit rot / legacy magics / layout
 //!   mismatch each to its own structured [`CkptError`] — `Option`-style
-//!   silent `None`s are not acceptable for the elastic path, because the
-//!   resharding trainer branches on the *kind* of rejection.
+//!   silent `None`s are not acceptable here, because the resharding
+//!   trainer branches on the *kind* of rejection. (The parser's unit tests
+//!   in `geofm-resilience` truncate and bit-flip its image at **every**
+//!   byte; `crates/resilience/tests/proptests.rs` fuzzes it.)
 
 use geofm_core::checkpoint::{load_in, save_in};
 use geofm_core::{pretrain, RecipeConfig};
 use geofm_fsdp::{try_run_elastic, DistReport, ElasticConfig, FsdpConfig, ResilienceConfig};
 use geofm_nn::{Linear, Module, ParamVisitor};
-use geofm_resilience::{CkptError, ElasticCheckpoint, FailureReport, RankSlot, StepCheckpoint};
+use geofm_resilience::{CkptError, ElasticCheckpoint, FailureReport};
 use geofm_tensor::{Tensor, TensorRng};
 use geofm_vit::VitConfig;
 use std::path::PathBuf;
@@ -106,39 +105,6 @@ fn encoder_checkpoint_rejects_every_corruption() {
     // And after all that abuse, the restored-good file still loads.
     assert!(load_in(&dir, &cfg, &rc).is_some(), "restored checkpoint must load again");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn step_checkpoint_rejects_truncation_at_every_boundary() {
-    let ck = StepCheckpoint {
-        step: 11,
-        ranks: (0..3)
-            .map(|r| RankSlot {
-                params: vec![r as f32; 5],
-                adam_m: vec![0.25; 5],
-                adam_v: vec![0.5; 5],
-                adam_t: 11,
-                losses: vec![1.0, 0.5],
-            })
-            .collect(),
-    };
-    let good = ck.to_bytes();
-    assert_eq!(StepCheckpoint::from_bytes(&good).as_ref(), Some(&ck));
-
-    for cut in 0..good.len() {
-        assert!(
-            StepCheckpoint::from_bytes(&good[..cut]).is_none(),
-            "truncation at byte {cut} must be rejected"
-        );
-    }
-    for byte in 0..good.len() {
-        let mut bad = good.clone();
-        bad[byte] ^= 0x10;
-        let reread = StepCheckpoint::from_bytes(&bad);
-        // Any single corrupted byte must either be caught (None) — the CRC
-        // guarantees this — and must certainly never reproduce the original.
-        assert!(reread.is_none(), "bit flip at byte {byte} must be rejected");
-    }
 }
 
 #[test]
@@ -314,18 +280,44 @@ fn trainer_starts_fresh_when_elastic_checkpoint_is_garbage() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("elastic.ck3");
-    // a torn/corrupt file at the resume path must be rejected and the run
-    // started fresh — identical to a run with no checkpoint at all
-    std::fs::write(&path, b"GEOFMCK3 but then the payload is nonsense").unwrap();
-    let abused = toy_elastic_run(elastic_resilience(path)).expect("run must not trust garbage");
     let fresh = toy_elastic_run(ResilienceConfig {
         collective_timeout: Some(Duration::from_secs(5)),
         ..ResilienceConfig::disabled()
     })
     .expect("fresh run must succeed");
+    // a CRC-valid image of the right model whose loss series disagrees
+    // with its step would misalign the resumed loss curve
+    let units = Toy::new(7).1;
+    let n: usize = units.iter().sum();
+    let misaligned = |n_losses: usize| {
+        ElasticCheckpoint {
+            step: 2,
+            world_written: 2,
+            shard_n_written: 2,
+            adam_t: 2,
+            unit_sizes: units.clone(),
+            params: vec![0.5; n],
+            adam_m: vec![0.0; n],
+            adam_v: vec![0.0; n],
+            mean_losses: vec![1.0; n_losses],
+        }
+        .to_bytes()
+    };
+    // a torn/corrupt file at the resume path must be rejected and the run
+    // started fresh — identical to a run with no checkpoint at all
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-    assert_eq!(bits(&abused.final_params), bits(&fresh.final_params));
-    assert_eq!(bits(&abused.mean_losses), bits(&fresh.mean_losses));
+    for (what, bytes) in [
+        ("nonsense payload", b"GEOFMCK3 but then the payload is nonsense".to_vec()),
+        ("10 losses at step 2", misaligned(10)),
+        ("0 losses at step 2", misaligned(0)),
+    ] {
+        std::fs::write(&path, &bytes).unwrap();
+        let abused = toy_elastic_run(elastic_resilience(path.clone()))
+            .unwrap_or_else(|e| panic!("{what}: run must not trust the image: {e}"));
+        assert_eq!(bits(&abused.final_params), bits(&fresh.final_params), "{what}");
+        assert_eq!(bits(&abused.mean_losses), bits(&fresh.mean_losses), "{what}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -355,30 +347,6 @@ fn trainer_surfaces_layout_mismatch_as_structured_failure() {
         report.failures.iter().any(|f| f.cause.contains("elastic checkpoint rejected")),
         "failure must carry the structured rejection, got {:?}",
         report.failures
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn step_checkpoint_save_is_atomic_and_reloadable() {
-    let dir = test_dir("step");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("s.ckpt");
-    let ck = StepCheckpoint {
-        step: 3,
-        ranks: vec![RankSlot {
-            params: vec![1.0, 2.0],
-            adam_m: vec![0.0; 2],
-            adam_v: vec![0.0; 2],
-            adam_t: 3,
-            losses: vec![],
-        }],
-    };
-    ck.save(&path).unwrap();
-    assert_eq!(StepCheckpoint::load(&path).as_ref(), Some(&ck));
-    assert!(
-        !path.with_extension("tmp").exists(),
-        "atomic write must not leave a tmp sibling behind"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

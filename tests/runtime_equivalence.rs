@@ -128,7 +128,6 @@ fn run_once(
     let resilience = ResilienceConfig {
         fault_plan: plan,
         checkpoint_every: 2,
-        checkpoint_path: Some(dir.join("step.ckpt")),
         collective_timeout: Some(Duration::from_millis(300)),
         max_restarts: 3,
         adaptive_timeout: None,
