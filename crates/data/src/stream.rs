@@ -444,10 +444,17 @@ impl PlaneCore {
             images.data_mut()[i * pix..(i + 1) * pix].copy_from_slice(&raw.features);
             labels.push(raw.label as usize);
         }
-        self.stats.records_read.fetch_add(rows.len() as u64, Ordering::Relaxed);
-        self.stats.bytes_read.fetch_add((rows.len() * pix * 4) as u64, Ordering::Relaxed);
-        self.counter("data.records", rows.len() as u64);
         Ok(Batch { step, images, labels, dropped })
+    }
+
+    /// Count a batch as fed to training. Called where a batch is handed
+    /// over, not where it is assembled: the prefetch worker runs ahead of
+    /// the consumer, and batches it assembled but nobody took are not read.
+    fn account_delivered(&self, batch: &Batch) {
+        let rows = batch.images.dim(0) as u64;
+        self.stats.records_read.fetch_add(rows, Ordering::Relaxed);
+        self.stats.bytes_read.fetch_add(batch.images.numel() as u64 * 4, Ordering::Relaxed);
+        self.counter("data.records", rows);
     }
 }
 
@@ -503,6 +510,9 @@ impl StreamingLoader {
         }
         debug_assert_eq!(step, self.next_step);
         self.next_step = step + 1;
+        if let Ok(b) = &batch {
+            self.core.account_delivered(b);
+        }
         batch
     }
 }
@@ -572,7 +582,11 @@ impl IngestPlane {
     /// prefetch — the random-access path (restart, rollback, reshard
     /// reference runs). Deterministic for fixed arguments + quarantine.
     pub fn fetch_batch(&self, step: usize, rank: usize, world: usize) -> Result<Batch, IngestError> {
-        self.core.fetch_batch(step, rank, world)
+        let batch = self.core.fetch_batch(step, rank, world);
+        if let Ok(b) = &batch {
+            self.core.account_delivered(b);
+        }
+        batch
     }
 
     /// The prefetched path: returns the same batch `fetch_batch` would,

@@ -84,27 +84,6 @@ impl MultiHeadAttention {
         dqkv
     }
 
-    fn attention_forward(&self, x: &Tensor, cache: bool) -> (Tensor, Option<AttnCache>) {
-        assert_eq!(x.ndim(), 3, "attention expects [batch, tokens, width]");
-        let (b, t, w) = (x.dim(0), x.dim(1), x.dim(2));
-        assert_eq!(w, self.width, "attention width mismatch");
-        let flat = x.clone().reshape(&[b * t, w]);
-        let qkv = if cache {
-            // we need qkv's linear cache for backward; but self is &self here,
-            // so the caching variant goes through forward() below.
-            unreachable!("internal: cached path handled in forward()")
-        } else {
-            self.qkv.forward_inference(&flat)
-        };
-        let (q3, k3, v3) = self.split_qkv(&qkv, b, t);
-        let q = split_heads(&q3, self.heads);
-        let k = split_heads(&k3, self.heads);
-        let v = split_heads(&v3, self.heads);
-        let (out, _probs) = self.core(&q, &k, &v, b, t);
-        let y = self.proj.forward_inference(&out.clone().reshape(&[b * t, w]));
-        (y.reshape(&[b, t, w]), None)
-    }
-
     /// Scaled-dot-product core: returns merged `[b*t, w]` context and probs.
     fn core(&self, q: &Tensor, k: &Tensor, v: &Tensor, b: usize, t: usize) -> (Tensor, Tensor) {
         let mut scores = bmm_a_bt(q, k); // [b*h, t, t]
@@ -137,7 +116,17 @@ impl MultiHeadAttention {
 
     /// Inference-only forward (no caching).
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        self.attention_forward(x, false).0
+        assert_eq!(x.ndim(), 3, "attention expects [batch, tokens, width]");
+        let (b, t, w) = (x.dim(0), x.dim(1), x.dim(2));
+        assert_eq!(w, self.width, "attention width mismatch");
+        let flat = x.clone().reshape(&[b * t, w]);
+        let qkv = self.qkv.forward_inference(&flat);
+        let (q3, k3, v3) = self.split_qkv(&qkv, b, t);
+        let q = split_heads(&q3, self.heads);
+        let k = split_heads(&k3, self.heads);
+        let v = split_heads(&v3, self.heads);
+        let (merged, _probs) = self.core(&q, &k, &v, b, t);
+        self.proj.forward_inference(&merged).reshape(&[b, t, w])
     }
 
     /// Backward pass; returns `dx: [b, t, w]`.

@@ -1,4 +1,4 @@
-//! Cache-blocked, rayon-parallel matrix multiplication kernels.
+//! Cache-blocked matrix multiplication kernels with runtime AVX2 dispatch.
 //!
 //! All accumulating kernels use the `i-k-j` loop order — the innermost loop
 //! is an AXPY over a contiguous row of the right operand, which
@@ -40,6 +40,13 @@
 //! tensors `[batch, ·, ·]`, parallelise over the batch dimension (the
 //! natural grain for multi-head attention) and route each slab through the
 //! same blocked cores, so the 2-D and batched kernels cannot drift apart.
+//!
+//! **Dispatch**: each panel body is `#[inline(always)]` and is compiled
+//! twice — once for the build's baseline target and once inside a
+//! `#[target_feature(enable = "avx2")]` clone. The panel entry picks the
+//! clone when the CPU reports AVX2 at run time. Only AVX2 is enabled, never
+//! FMA, so the clone performs the same multiplies and adds in the same
+//! order and its results are bit-identical to the portable body's.
 
 use crate::Tensor;
 use rayon::prelude::*;
@@ -55,7 +62,7 @@ const KC: usize = 64;
 /// Output-column panel; `KC * NC * 4` bytes ≈ 32 KiB ≈ L1.
 const NC: usize = 128;
 
-#[inline]
+#[inline(always)]
 fn axpy(acc: &mut [f32], x: f32, row: &[f32]) {
     debug_assert_eq!(acc.len(), row.len());
     for (a, &r) in acc.iter_mut().zip(row.iter()) {
@@ -66,7 +73,7 @@ fn axpy(acc: &mut [f32], x: f32, row: &[f32]) {
 /// Four rank-1 updates folded into one pass over the C row. Each element
 /// still accumulates its four products in ascending-k order, so the result
 /// is bit-identical to four sequential [`axpy`] calls.
-#[inline]
+#[inline(always)]
 fn axpy4(acc: &mut [f32], x: [f32; 4], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32]) {
     let n = acc.len();
     let (r0, r1, r2, r3) = (&r0[..n], &r1[..n], &r2[..n], &r3[..n]);
@@ -83,6 +90,35 @@ fn axpy4(acc: &mut [f32], x: [f32; 4], r0: &[f32], r1: &[f32], r2: &[f32], r3: &
 /// Blocked `C += A · B` over rows `i0..i0+rows` of `A`/`C` (the sequential
 /// per-panel body shared by [`matmul_into`] and [`bmm`]).
 fn matmul_panel(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the clone's only requirement is AVX2, which
+        // `is_x86_feature_detected!("avx2")` just confirmed.
+        return unsafe { matmul_panel_avx2(a, b, cpanel, i0, rows, k, n) };
+    }
+    matmul_panel_body(a, b, cpanel, i0, rows, k, n)
+}
+
+/// [`matmul_panel_body`] compiled with AVX2 enabled.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_panel_avx2(
+    a: &[f32],
+    b: &[f32],
+    cpanel: &mut [f32],
+    i0: usize,
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    matmul_panel_body(a, b, cpanel, i0, rows, k, n)
+}
+
+#[inline(always)]
+fn matmul_panel_body(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
     let mut kc = 0;
     while kc < k {
         let kend = (kc + KC).min(k);
@@ -115,9 +151,37 @@ fn matmul_panel(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, rows: usize
     }
 }
 
-/// Blocked `C += Aᵀ · B` panel body (`A: [k,m]` accessed with stride `m`);
+/// Blocked `C += Aᵀ · B` panel (`A: [k,m]` accessed with stride `m`);
 /// `[k, m, n]` are the problem dimensions.
-fn matmul_at_b_panel(
+fn matmul_at_b_panel(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, rows: usize, dims: [usize; 3]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the clone's only requirement is AVX2, which
+        // `is_x86_feature_detected!("avx2")` just confirmed.
+        return unsafe { matmul_at_b_panel_avx2(a, b, cpanel, i0, rows, dims) };
+    }
+    matmul_at_b_panel_body(a, b, cpanel, i0, rows, dims)
+}
+
+/// [`matmul_at_b_panel_body`] compiled with AVX2 enabled.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_at_b_panel_avx2(
+    a: &[f32],
+    b: &[f32],
+    cpanel: &mut [f32],
+    i0: usize,
+    rows: usize,
+    dims: [usize; 3],
+) {
+    matmul_at_b_panel_body(a, b, cpanel, i0, rows, dims)
+}
+
+#[inline(always)]
+fn matmul_at_b_panel_body(
     a: &[f32],
     b: &[f32],
     cpanel: &mut [f32],
@@ -157,9 +221,46 @@ fn matmul_at_b_panel(
     }
 }
 
-/// Dot-product panel body for `C = A · Bᵀ` (rows of both operands are
+/// Dot-product panel for `C = A · Bᵀ` (rows of both operands are
 /// contiguous; each output element is one [`dot`]).
 fn matmul_a_bt_panel(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the clone's only requirement is AVX2, which
+        // `is_x86_feature_detected!("avx2")` just confirmed.
+        return unsafe { matmul_a_bt_panel_avx2(a, b, cpanel, i0, rows, k, n) };
+    }
+    matmul_a_bt_panel_body(a, b, cpanel, i0, rows, k, n)
+}
+
+/// [`matmul_a_bt_panel_body`] compiled with AVX2 enabled.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_a_bt_panel_avx2(
+    a: &[f32],
+    b: &[f32],
+    cpanel: &mut [f32],
+    i0: usize,
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    matmul_a_bt_panel_body(a, b, cpanel, i0, rows, k, n)
+}
+
+#[inline(always)]
+fn matmul_a_bt_panel_body(
+    a: &[f32],
+    b: &[f32],
+    cpanel: &mut [f32],
+    i0: usize,
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
     for r in 0..rows {
         let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
         let crow = &mut cpanel[r * n..(r + 1) * n];
@@ -244,7 +345,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-#[inline]
+#[inline(always)]
 fn dot(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
     // Eight partial sums give the optimiser independent accumulation
@@ -340,6 +441,7 @@ pub fn bmm_at_b(a: &Tensor, b: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TensorRng;
 
     fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.dim(0), a.dim(1));
@@ -472,6 +574,132 @@ mod tests {
         let y: Vec<f32> = (0..13).map(|i| 1.0 - i as f32 * 0.25).collect();
         let reference: f32 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
         assert!((dot(&x, &y) - reference).abs() < 1e-4);
+    }
+
+    /// `kernel_differential`'s shape mix: tiny dims, exact MC/KC/NC tile
+    /// multiples, dims straddling a tile, and anything up to 200.
+    fn trial_dims(rng: &mut TensorRng) -> [usize; 3] {
+        let mut pick = || match rng.below(4) {
+            0 => rng.below(8) + 1,
+            1 => [32, 64, 128][rng.below(3)],
+            2 => [31, 33, 63, 65, 127, 129][rng.below(6)],
+            _ => rng.below(200) + 1,
+        };
+        [pick(), pick(), pick()]
+    }
+
+    /// Normal draws with a quarter of the entries replaced by ±0, ±∞, NaN,
+    /// subnormals and extreme magnitudes.
+    fn edge_fill(rng: &mut TensorRng, len: usize) -> Vec<f32> {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::from_bits(1),
+            1e-38,
+            1e38,
+        ];
+        (0..len)
+            .map(|_| if rng.below(4) == 0 { specials[rng.below(specials.len())] } else { rng.normal() })
+            .collect()
+    }
+
+    /// NaN lanes collapsed to one encoding: IEEE leaves a NaN result's
+    /// sign and payload unspecified (see the module docs).
+    fn canonical_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { 0x7FC0_0000 } else { x.to_bits() }).collect()
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Layout {
+        Nn,
+        AtB,
+        ABt,
+    }
+
+    /// Run one layout's panel over `[m, n]` in MC-row panels, as the
+    /// parallel path splits it, through the portable body or the AVX2 clone.
+    fn run_panels(layout: Layout, avx2: bool, a: &[f32], b: &[f32], [m, k, n]: [usize; 3]) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        for (ci, cpanel) in c.chunks_mut(MC * n).enumerate() {
+            let (i0, rows) = (ci * MC, cpanel.len() / n);
+            match (layout, avx2) {
+                (Layout::Nn, false) => matmul_panel_body(a, b, cpanel, i0, rows, k, n),
+                (Layout::AtB, false) => matmul_at_b_panel_body(a, b, cpanel, i0, rows, [k, m, n]),
+                (Layout::ABt, false) => matmul_a_bt_panel_body(a, b, cpanel, i0, rows, k, n),
+                #[cfg(target_arch = "x86_64")]
+                (layout, true) => {
+                    assert!(is_x86_feature_detected!("avx2"));
+                    // SAFETY: the assert above is the clones' runtime AVX2 check.
+                    unsafe {
+                        match layout {
+                            Layout::Nn => matmul_panel_avx2(a, b, cpanel, i0, rows, k, n),
+                            Layout::AtB => matmul_at_b_panel_avx2(a, b, cpanel, i0, rows, [k, m, n]),
+                            Layout::ABt => matmul_a_bt_panel_avx2(a, b, cpanel, i0, rows, k, n),
+                        }
+                    }
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                (_, true) => unreachable!("AVX2 clones exist only on x86_64"),
+            }
+        }
+        c
+    }
+
+    /// Textbook ascending-k reference for the two AXPY-shaped layouts.
+    fn naive(layout: Layout, a: &[f32], b: &[f32], [m, k, n]: [usize; 3]) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut s = 0.0f32;
+                for kk in 0..k {
+                    let av = match layout {
+                        Layout::AtB => a[kk * m + i],
+                        _ => a[i * k + kk],
+                    };
+                    s += av * b[kk * n + j];
+                }
+                c[i * n + j] = s;
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn avx2_clones_bit_identical_to_portable_bodies() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            eprintln!("no AVX2 on this CPU: checked the portable panel bodies against the naive reference");
+        }
+        let mut rng = TensorRng::seed_from(0xA5C2);
+        for trial in 0..64 {
+            for layout in [Layout::Nn, Layout::AtB, Layout::ABt] {
+                let dims @ [m, k, n] = trial_dims(&mut rng);
+                let a = edge_fill(&mut rng, m * k);
+                let b = edge_fill(&mut rng, k * n);
+                let portable = run_panels(layout, false, &a, &b, dims);
+                if !matches!(layout, Layout::ABt) {
+                    assert_eq!(
+                        canonical_bits(&portable),
+                        canonical_bits(&naive(layout, &a, &b, dims)),
+                        "trial {trial} {layout:?} {m}x{k}x{n}: portable body diverged from naive"
+                    );
+                }
+                if avx2 {
+                    assert_eq!(
+                        canonical_bits(&run_panels(layout, true, &a, &b, dims)),
+                        canonical_bits(&portable),
+                        "trial {trial} {layout:?} {m}x{k}x{n}: AVX2 clone diverged from portable body"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
