@@ -282,6 +282,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The pool one rank's kernels split across: its share of the machine,
+/// `max(1, available_parallelism / world)` threads. Each attempt builds its
+/// own, so the survivors of an elastic shrink get the departed ranks' cores.
+fn rank_pool(world: usize) -> rayon::ThreadPool {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    rayon::ThreadPoolBuilder::new()
+        .num_threads((cores / world).max(1))
+        .build()
+        .expect("the shim's pools start their helpers lazily and always build")
+}
+
 /// Run `steps` collective training steps across `world` rank threads.
 ///
 /// * `make_model(rank)` must construct identically initialised models (use
@@ -829,7 +840,7 @@ where
             let slots = &slots;
             let plan = Arc::clone(&resilience.fault_plan);
             let telemetry = telemetry.cloned();
-            let handle = s.spawn(move || -> Result<(), RankFailure> {
+            let rank_body = move || -> Result<(), RankFailure> {
                 let rank = g.rank;
                 let mut g = g.with_timeout(resilience.collective_timeout);
                 if let Some(trackers) = elastic.trackers {
@@ -1067,7 +1078,8 @@ where
                         ))
                     }
                 }
-            });
+            };
+            let handle = s.spawn(move || rank_pool(world).install(rank_body));
             handles.push(handle);
         }
         for (rank, handle) in handles.into_iter().enumerate() {

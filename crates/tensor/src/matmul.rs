@@ -391,6 +391,9 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(bs, bs2, "bmm: batch dims {} vs {}", bs, bs2);
     assert_eq!(k, kb, "bmm: inner dims {} vs {}", k, kb);
     let mut out = Tensor::zeros(&[bs, m, n]);
+    if m * n == 0 {
+        return out;
+    }
     out.data_mut()
         .par_chunks_mut(m * n)
         .enumerate()
@@ -409,6 +412,9 @@ pub fn bmm_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(bs, bs2, "bmm_a_bt: batch dims {} vs {}", bs, bs2);
     assert_eq!(k, kb, "bmm_a_bt: inner dims {} vs {}", k, kb);
     let mut out = Tensor::zeros(&[bs, m, n]);
+    if m * n == 0 {
+        return out;
+    }
     out.data_mut()
         .par_chunks_mut(m * n)
         .enumerate()
@@ -427,6 +433,9 @@ pub fn bmm_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(bs, bs2, "bmm_at_b: batch dims {} vs {}", bs, bs2);
     assert_eq!(k, kb, "bmm_at_b: inner dims {} vs {}", k, kb);
     let mut out = Tensor::zeros(&[bs, m, n]);
+    if m * n == 0 {
+        return out;
+    }
     out.data_mut()
         .par_chunks_mut(m * n)
         .enumerate()
@@ -565,6 +574,20 @@ mod tests {
             let expect = matmul_at_b(&asl, &bsl);
             let got = Tensor::from_vec(&[3, 5], out.data()[bi * 15..(bi + 1) * 15].to_vec());
             assert!(got.max_abs_diff(&expect) < 1e-4);
+        }
+    }
+
+    #[test]
+    fn batched_kernels_return_empty_slabs_like_matmul() {
+        assert_eq!(matmul(&Tensor::zeros(&[0, 3]), &Tensor::zeros(&[3, 4])).shape(), &[0, 4]);
+        for (m, n) in [(0, 4), (4, 0), (0, 0)] {
+            let k = 3;
+            let out = bmm(&Tensor::zeros(&[2, m, k]), &Tensor::zeros(&[2, k, n]));
+            assert_eq!(out.shape(), &[2, m, n]);
+            let out = bmm_a_bt(&Tensor::zeros(&[2, m, k]), &Tensor::zeros(&[2, n, k]));
+            assert_eq!(out.shape(), &[2, m, n]);
+            let out = bmm_at_b(&Tensor::zeros(&[2, k, m]), &Tensor::zeros(&[2, k, n]));
+            assert_eq!(out.shape(), &[2, m, n]);
         }
     }
 

@@ -1,63 +1,39 @@
 //! Offline shim for [rayon](https://crates.io/crates/rayon).
 //!
-//! The build environment has no crates-io access, and the target machine
-//! exposes a single CPU core, so data-parallel execution would win nothing.
-//! This shim keeps the `par_*` call sites source-compatible by returning the
-//! corresponding **sequential** standard-library iterators: `par_chunks`
-//! is `chunks`, `par_iter_mut` is `iter_mut`, and every adaptor that the
-//! workspace chains afterwards (`zip`, `enumerate`, `for_each`) is then the
-//! plain `Iterator` method.
+//! The build environment has no crates-io access, so this crate implements
+//! the part of rayon's API that geofm uses, with rayon's signatures: the
+//! slice `par_iter`/`par_iter_mut`/`par_chunks`/`par_chunks_mut` iterators,
+//! their `enumerate`, `zip`, `map`/`collect` and `for_each` adaptors,
+//! [`ThreadPoolBuilder`], [`ThreadPool::install`] and
+//! [`current_num_threads`].
 //!
-//! The kernels written against this API therefore express their available
-//! parallelism exactly as with the real rayon — swapping the real crate back
-//! in requires no source change outside the workspace manifest.
+//! `for_each` runs in parallel inside [`ThreadPool::install`]: it cuts the
+//! items into `min(width, len)` contiguous pieces, runs the first on the
+//! calling thread and hands the rest to the pool's helper threads, which
+//! start with the first `for_each` that splits. Outside any `install`, or
+//! in a pool of width 1, it is the plain sequential loop on the calling
+//! thread. Each piece visits its items in order, so a call whose items
+//! write disjoint outputs gives bit-identical results at every width. A
+//! panic in any piece reaches the caller of `for_each` once every piece is
+//! over.
+//!
+//! Two differences from rayon: `install` runs its closure on the calling
+//! thread, not on a pool thread, and `map(..).collect()` drains on the
+//! calling thread. Swapping the real crate back in needs no source change
+//! outside the workspace manifest.
+
+mod iter;
+mod pool;
+mod slice;
+
+pub use iter::{Enumerate, IndexedParallelIterator, Map, Zip};
+pub use pool::{current_num_threads, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder};
+pub use slice::{Chunks, ChunksMut, Iter, IterMut, ParallelSlice, ParallelSliceMut};
 
 /// Drop-in for `rayon::prelude`.
 pub mod prelude {
-    /// `par_iter`/`par_chunks` over shared slices.
-    pub trait ParallelSlice<T> {
-        /// Sequential stand-in for rayon's `par_iter`.
-        fn par_iter(&self) -> std::slice::Iter<'_, T>;
-        /// Sequential stand-in for rayon's `par_chunks`.
-        fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T>;
-    }
-
-    /// `par_iter_mut`/`par_chunks_mut` over mutable slices.
-    pub trait ParallelSliceMut<T> {
-        /// Sequential stand-in for rayon's `par_iter_mut`.
-        fn par_iter_mut(&mut self) -> std::slice::IterMut<'_, T>;
-        /// Sequential stand-in for rayon's `par_chunks_mut`.
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T>;
-    }
-
-    impl<T> ParallelSlice<T> for [T] {
-        fn par_iter(&self) -> std::slice::Iter<'_, T> {
-            self.iter()
-        }
-
-        fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T> {
-            self.chunks(chunk_size)
-        }
-    }
-
-    impl<T> ParallelSliceMut<T> for [T] {
-        fn par_iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
-            self.iter_mut()
-        }
-
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T> {
-            self.chunks_mut(chunk_size)
-        }
-    }
-}
-
-/// Run two closures (sequentially here; in parallel under real rayon).
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB,
-{
-    (a(), b())
+    pub use crate::iter::IndexedParallelIterator;
+    pub use crate::slice::{ParallelSlice, ParallelSliceMut};
 }
 
 #[cfg(test)]
