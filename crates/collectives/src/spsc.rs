@@ -26,10 +26,15 @@
 //!   [`Consumer`] makes every subsequent push fail with the item handed
 //!   back ([`PushError::Disconnected`]) — the shutdown-races-enqueue path
 //!   a dying rank takes. Items still in the ring when *both* sides are
-//!   gone are dropped by the last side out.
+//!   gone are dropped with the ring itself: the shared `Arc` runs the
+//!   ring's `Drop` exactly once, after the last handle is gone, with
+//!   exclusive access to the slots. Neither handle decides it is the last
+//!   by reading the other's `alive` flag — two overlapping drops would
+//!   both read `false` and both drain.
 //!
 //! The suite in `tests/spsc_queue.rs` stress-tests FIFO order, the
-//! full/empty boundaries, drop-while-nonempty and the shutdown race.
+//! full/empty boundaries, drop-while-nonempty, racing drops of both sides
+//! and the shutdown race.
 
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
@@ -276,10 +281,6 @@ impl<T> Drop for Producer<T> {
         self.ring.producer_alive.store(false, Ordering::Release);
         // wake a consumer parked on empty so it observes the close
         self.ring.consumer_parker.wake();
-        // if the consumer is already gone, nobody will drain: do it here
-        if !self.consumer_alive() {
-            drain(&self.ring);
-        }
     }
 }
 
@@ -351,26 +352,27 @@ impl<T> Drop for Consumer<T> {
         self.ring.consumer_alive.store(false, Ordering::Release);
         // wake a producer parked on full so it observes the close
         self.ring.producer_parker.wake();
-        // if the producer is already gone, this side drains the leftovers
-        if !self.producer_alive() {
-            drain(&self.ring);
-        }
     }
 }
 
-/// Drop every undrained item. Called by whichever side drops *last*, so
-/// exactly one thread touches the slots (both `alive` flags are false and
-/// the peer can no longer push or pop).
-fn drain<T>(ring: &Ring<T>) {
-    let tail = ring.tail.load(Ordering::Acquire);
-    let mut head = ring.head.load(Ordering::Acquire);
-    while head != tail {
-        unsafe {
-            (*ring.slots[head & ring.mask].get()).assume_init_drop();
+impl<T> Drop for Ring<T> {
+    /// Drop every undrained item. The `Arc` runs this once, after the last
+    /// handle is gone; its release-decrement / acquire-fence pair orders
+    /// every slot write and cursor store before it, and `&mut self` proves
+    /// no other thread can touch a slot.
+    fn drop(&mut self) {
+        let tail = *self.tail.get_mut();
+        let mut head = *self.head.get_mut();
+        while head != tail {
+            // SAFETY: `head..tail` are exactly the slots the producer wrote
+            // and the consumer never read, so each holds an initialised
+            // value that is dropped here once.
+            unsafe {
+                self.slots[head & self.mask].get_mut().assume_init_drop();
+            }
+            head = head.wrapping_add(1);
         }
-        head = head.wrapping_add(1);
     }
-    ring.head.store(tail, Ordering::Release);
 }
 
 #[cfg(test)]
@@ -439,6 +441,45 @@ mod tests {
         let (n, rest) = tx.push_batch(0..10);
         assert_eq!(n, 4);
         assert_eq!(rest, vec![4, 5, 6, 7, 8, 9]);
+    }
+
+    /// Counts its drops.
+    struct Tracked(Arc<AtomicUsize>);
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A few rounds of `tests/spsc_queue.rs`'s racing-drops test, small
+    /// enough for Miri to interpret: both sides drop at once, from two
+    /// threads, with items queued, and each item is dropped once.
+    #[test]
+    fn racing_drops_of_both_sides_drop_each_item_once() {
+        for _ in 0..8 {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let (mut tx, rx) = ring::<Tracked>(4);
+            for _ in 0..3 {
+                assert!(tx.push(Tracked(Arc::clone(&drops))).is_ok());
+            }
+            let ready = &AtomicUsize::new(0);
+            let arrive = move || {
+                ready.fetch_add(1, Ordering::SeqCst);
+                while ready.load(Ordering::SeqCst) < 2 {
+                    std::hint::spin_loop();
+                }
+            };
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    arrive();
+                    drop(rx);
+                });
+                arrive();
+                drop(tx);
+            });
+            assert_eq!(drops.load(Ordering::SeqCst), 3);
+        }
     }
 
     #[test]

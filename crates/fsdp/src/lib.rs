@@ -34,7 +34,7 @@ pub mod flat;
 pub mod health;
 pub mod rank;
 pub mod reshard;
-pub mod runtime;
+mod runtime;
 pub mod sentinel;
 pub mod strategy;
 pub mod trainer;
@@ -42,10 +42,6 @@ pub mod trainer;
 pub use flat::FlatLayout;
 pub use health::HealthMonitor;
 pub use rank::{FsdpRank, StepError, StepReport};
-pub use runtime::{
-    CheckpointMw, Control, Descriptor, DrainMw, DrainPolicy, GuardMw, HealthMw, InjectMw,
-    ProbeCounters, ProbeMw, RankMiddleware, RuntimeStack, Stage, StackError, StepCx,
-};
 pub use reshard::{global_to_shard, reshard, shards_to_global};
 pub use sentinel::{Sentinel, SentinelConfig, SentinelTrip};
 pub use strategy::{FsdpConfig, OverlapConfig, PrefetchPolicy, ShardingStrategy};

@@ -17,15 +17,21 @@
 //! * [`try_run_elastic`] — the loop itself, with a world-aware `compute`
 //!   so the world can shrink and re-grow; [`try_run_streaming`] feeds it
 //!   from an [`IngestPlane`].
+//!
+//! Each attempt runs one rank loop per rank thread (`run_attempt`):
+//! straight-line code that calls each policy at its one point in the
+//! step — the guard's skip screen, the fault draws, `try_step`, the
+//! guard's verdict, then the health record, the guard's rollback snapshot
+//! and the GEOFMCK3 checkpoint — and drains the comm thread where a rank
+//! departs, a spare rejoins, or a rank is lost under elastic resharding.
+//! The policies and the ordering laws that order rests on are documented
+//! in `runtime.rs`.
 
 use crate::flat::FlatLayout;
 use crate::health::HealthMonitor;
 use crate::rank::{FsdpRank, StepError};
 use crate::reshard::global_to_shard;
-use crate::runtime::{
-    self, CheckpointMw, Control, DrainMw, DrainPolicy, GuardMw, HealthMw, InjectMw, ProbeMw,
-    RankMiddleware, RankSlot, RuntimeStack, StepCx,
-};
+use crate::runtime::{Checkpointer, FaultInjector, Guard, RankSlot};
 use crate::sentinel::SentinelConfig;
 use crate::strategy::{FsdpConfig, ShardingStrategy};
 use geofm_collectives::{
@@ -838,7 +844,6 @@ where
             let params_out = &params_out;
             let losses = &losses;
             let slots = &slots;
-            let plan = Arc::clone(&resilience.fault_plan);
             let telemetry = telemetry.cloned();
             let rank_body = move || -> Result<(), RankFailure> {
                 let rank = g.rank;
@@ -853,7 +858,7 @@ where
                 }
                 // kept outside the unwind boundary so a panicking rank can
                 // still unblock its peers
-                let guard = g.clone();
+                let peers = g.clone();
                 let count = |name: &str| {
                     if let Some(t) = telemetry.as_deref() {
                         t.metrics.counter(name).inc(1);
@@ -888,43 +893,21 @@ where
                         fr.restore_state(&params, AdamWState { m, v, t: ck.adam_t });
                     }
 
-                    // ---- middleware stack (built post-restore so the
-                    // guard's first rollback snapshot captures the
-                    // restored state; see runtime.rs for the ordering
-                    // contract each policy rides on) ----
-                    let guard_on = resilience.guard.is_some();
-                    let probe = runtime::probe();
-                    let mut mws: Vec<Box<dyn RankMiddleware<M> + '_>> = Vec::new();
-                    macro_rules! observe {
-                        () => {
-                            if let Some(p) = &probe {
-                                mws.push(Box::new(ProbeMw::new(Arc::clone(p))));
-                            }
-                        };
-                    }
-                    observe!();
-                    mws.push(Box::new(HealthMw::new(health)));
-                    observe!();
-                    if let Some(gc) = resilience.guard.as_ref() {
-                        mws.push(Box::new(GuardMw::new(
-                            gc,
-                            &fr,
-                            start_step,
-                            guard_slot,
-                            telemetry.clone(),
-                        )));
-                        observe!();
-                    }
-                    mws.push(Box::new(InjectMw::new(
-                        &plan,
-                        guard.clone(),
+                    // built post-restore, so the guard's first rollback
+                    // snapshot captures the restored state
+                    let mut guard = resilience
+                        .guard
+                        .as_ref()
+                        .map(|gc| Guard::new(gc, &fr, start_step, guard_slot, telemetry.clone()));
+                    let faults = FaultInjector::new(
+                        &resilience.fault_plan,
+                        peers.clone(),
                         resilience.collective_timeout,
                         elastic.on,
                         elastic.can_grow,
                         telemetry.clone(),
-                    )));
-                    observe!();
-                    mws.push(Box::new(CheckpointMw::new(
+                    );
+                    let checkpointer = Checkpointer::new(
                         resilience,
                         elastic.disk,
                         elastic.snapshot,
@@ -933,136 +916,82 @@ where
                         units.clone(),
                         shard_size,
                         telemetry.clone(),
-                    )));
-                    observe!();
-                    mws.push(Box::new(DrainMw::new(elastic.on)));
-                    observe!();
-                    let mut stack = RuntimeStack::new(mws)
-                        .expect("the canonical middleware stack is well-ordered");
+                    );
 
+                    // the order of the calls below carries the ordering
+                    // laws in runtime.rs's module docs
                     let mut step = start_step;
                     while step < steps {
                         current_step.store(step, Ordering::Relaxed);
-                        let mut cx = StepCx {
-                            rank,
-                            world,
-                            steps,
-                            start_step,
-                            step,
-                            local_losses: &mut local_losses,
-                            local_work: Duration::ZERO,
-                            degraded: None,
-                            poison_loss: false,
-                            report: None,
-                            corrupt: None,
-                            drain: DrainPolicy::Never,
-                        };
-                        match stack.before_forward(&mut fr, &mut cx) {
-                            Ok(Control::Continue) => {}
-                            Ok(Control::SkipStep) => {
-                                step += 1;
-                                continue;
-                            }
-                            Ok(Control::Rollback { to_step }) => {
-                                step = to_step;
-                                continue;
-                            }
-                            Err(f) => {
-                                stack.on_failure(&mut fr, &cx, &f);
-                                return Err(f);
-                            }
+                        if guard.as_ref().is_some_and(|g| g.skips(step)) {
+                            // canonical NaN loss, no collectives, no faults,
+                            // no update — every rank passes over in lockstep
+                            local_losses.push(f32::NAN);
+                            step += 1;
+                            continue;
                         }
-                        let (degraded, poison) = (cx.degraded, cx.poison_loss);
+                        let draws = faults.draw(&fr, rank, step)?;
                         let mut compute_time = Duration::ZERO;
-                        let outcome = {
-                            let compute_time = &mut compute_time;
-                            stack.around("step", || {
-                                fr.try_step(lr_at(step), |m| {
-                                    let t0 = Instant::now();
-                                    let loss = compute(m, rank, world, step);
-                                    // a degraded GCD takes `slowdown ×` as
-                                    // long for the same (bit-identical) result
-                                    if let Some(s) = degraded {
-                                        std::thread::sleep(t0.elapsed().mul_f64(s - 1.0));
-                                    }
-                                    *compute_time += t0.elapsed();
-                                    if poison { f32::NAN } else { loss }
-                                })
-                            })
-                        };
-                        cx.local_work += compute_time;
-                        match outcome {
-                            Ok(r) => cx.report = Some(r),
-                            Err(StepError::Corrupt(c)) if guard_on => {
-                                // the checksum layer flagged this step's
-                                // reduce; the step completed its collective
-                                // schedule (keeping all ranks aligned) but
-                                // applied no update — the guard exchange
-                                // spreads the verdict world-wide
-                                cx.corrupt = Some(c);
+                        let outcome = fr.try_step(lr_at(step), |m| {
+                            let t0 = Instant::now();
+                            let loss = compute(m, rank, world, step);
+                            // a degraded GCD takes `slowdown ×` as long for
+                            // the same (bit-identical) result
+                            if let Some(s) = draws.degraded {
+                                std::thread::sleep(t0.elapsed().mul_f64(s - 1.0));
                             }
+                            compute_time += t0.elapsed();
+                            if draws.poison_loss { f32::NAN } else { loss }
+                        });
+                        let outcome = match outcome {
+                            Ok(r) => Ok(r),
+                            // the checksum layer flagged this step's reduce;
+                            // the step completed its collective schedule
+                            // (keeping all ranks aligned) but applied no
+                            // update — the guard exchange spreads the
+                            // verdict world-wide
+                            Err(StepError::Corrupt(c)) if guard.is_some() => Err(c),
                             Err(e) => {
                                 count("fault.rank_lost");
                                 fr.poison_groups();
                                 // survivor half of the drain protocol: under
-                                // elastic resharding the drain middleware
-                                // empties the comm thread once groups are
-                                // poisoned, so no queued job touches state
-                                cx.drain = DrainPolicy::IfElastic;
-                                let f = fail(step, e.to_string());
-                                stack.on_failure(&mut fr, &cx, &f);
-                                return Err(f);
+                                // elastic resharding, empty the comm thread
+                                // once groups are poisoned, so no queued job
+                                // touches state
+                                if elastic.on {
+                                    fr.quiesce_comm();
+                                }
+                                return Err(fail(step, e.to_string()));
                             }
-                        }
-                        match stack.after_backward(&mut fr, &mut cx) {
-                            Ok(Control::Continue) => {}
-                            Ok(Control::SkipStep) => {
-                                step += 1;
-                                continue;
-                            }
-                            Ok(Control::Rollback { to_step }) => {
+                        };
+                        if let Some(g) = guard.as_mut() {
+                            let verdict =
+                                g.verdict(&mut fr, rank, world, step, &outcome, &mut local_losses)?;
+                            if let Some(to_step) = verdict {
                                 step = to_step;
                                 continue;
                             }
-                            Err(f) => {
-                                stack.on_failure(&mut fr, &cx, &f);
-                                return Err(f);
-                            }
                         }
-                        let report = cx.report.expect("an accepted step always has a report");
-                        cx.local_losses.push(report.loss);
-                        if let Err(f) = stack.on_step(&mut fr, &mut cx) {
-                            stack.on_failure(&mut fr, &cx, &f);
-                            return Err(f);
+                        let report = outcome.expect("the guard rolls back every corrupt step");
+                        local_losses.push(report.loss);
+                        health.record(rank, draws.delay + compute_time);
+                        if let Some(g) = guard.as_mut() {
+                            g.snapshot(&fr, step, local_losses.len());
                         }
+                        checkpointer.after_step(&fr, rank, world, step, &local_losses)?;
                         step += 1;
                     }
 
-                    let mut cx = StepCx {
-                        rank,
-                        world,
-                        steps,
-                        start_step,
-                        step: steps,
-                        local_losses: &mut local_losses,
-                        local_work: Duration::ZERO,
-                        degraded: None,
-                        poison_loss: false,
-                        report: None,
-                        corrupt: None,
-                        drain: DrainPolicy::Never,
-                    };
                     if let Err(lost) = fr.try_materialize() {
                         count("fault.rank_lost");
                         fr.poison_groups();
-                        let f = fail(steps, lost.to_string());
-                        stack.on_failure(&mut fr, &cx, &f);
-                        return Err(f);
+                        return Err(fail(steps, lost.to_string()));
                     }
-                    stack.on_finish(&mut fr, &mut cx)?;
-                    drop(stack);
                     *lock(&losses[rank]) = local_losses;
                     if rank == 0 {
+                        if let Some(g) = &guard {
+                            g.deposit();
+                        }
                         *lock(params_out) = Some(fr.packed_params());
                     }
                     Ok(())
@@ -1071,7 +1000,7 @@ where
                     Ok(result) => result,
                     Err(payload) => {
                         count("fault.rank_panic");
-                        guard.poison_all();
+                        peers.poison_all();
                         Err(fail(
                             current_step.load(Ordering::Relaxed),
                             format!("rank thread panicked: {}", panic_message(&*payload)),

@@ -8,7 +8,8 @@
 //! * **full/empty boundary** behaviour (`Full` hands the item back;
 //!   `pop` on empty returns `None`; batched pushes overflow in order);
 //! * **drop-while-nonempty drains cleanly** — every queued item is
-//!   dropped exactly once, whichever side unplugs first;
+//!   dropped exactly once, whichever side unplugs first, and when both
+//!   sides unplug at the same moment;
 //! * **shutdown racing enqueue** never loses an item: a push either lands
 //!   (and is drained) or comes back as `Disconnected`;
 //! * **job-cell pooling** above the ring reaches a steady state: after
@@ -195,6 +196,42 @@ fn drop_while_nonempty_drains_every_item_exactly_once() {
     drop(rx);
     drop(tx);
     assert_eq!(drops.load(Ordering::SeqCst), 3, "producer drop must drain the leftovers");
+}
+
+/// Spin until both threads of a round have arrived, so the steps each
+/// takes next start together.
+fn arrive(ready: &AtomicUsize) {
+    ready.fetch_add(1, Ordering::SeqCst);
+    while ready.load(Ordering::SeqCst) < 2 {
+        std::hint::spin_loop();
+    }
+}
+
+/// Both sides dropped at the same moment, from two threads, with items
+/// still queued: whichever drop finishes last, each item is dropped
+/// exactly once. A handle that decides it is the last one out by
+/// reading the other side's `alive` flag sees `false` on both threads
+/// when the drops overlap, and the leftovers are dropped twice.
+#[test]
+fn racing_drops_of_both_sides_drop_each_item_once() {
+    const ROUNDS: usize = 20_000;
+    for round in 0..ROUNDS {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let (mut tx, rx) = ring::<Tracked>(8);
+        for _ in 0..4 {
+            tx.push(Tracked(Arc::clone(&drops))).unwrap();
+        }
+        let ready = &AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                arrive(ready);
+                drop(rx);
+            });
+            arrive(ready);
+            drop(tx);
+        });
+        assert_eq!(drops.load(Ordering::SeqCst), 4, "round {round}: leftovers dropped twice");
+    }
 }
 
 /// Shutdown racing enqueue: the consumer disconnects at a random point
