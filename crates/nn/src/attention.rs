@@ -145,7 +145,7 @@ impl MultiHeadAttention {
 
         // softmax backward (row-wise over last dim)
         let bh = b * self.heads;
-        let probs2 = c.probs.clone().reshape(&[bh * t, t]);
+        let probs2 = c.probs.reshape(&[bh * t, t]);
         let dprobs2 = dprobs.reshape(&[bh * t, t]);
         let dscores = probs2.softmax_rows_backward(&dprobs2).reshape(&[bh, t, t]);
 

@@ -44,7 +44,7 @@ impl Linear {
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         assert_eq!(x.ndim(), 2, "Linear::forward expects 2-D input");
         assert_eq!(x.dim(1), self.in_features, "Linear::forward width mismatch");
-        // y = x · Wᵀ : [n,in]·[out,in]ᵀ — the fused kernel avoids a transpose.
+        // y = x · Wᵀ : [n,in]·[out,in]ᵀ — transposes W once, then the AXPY panel.
         let mut y = matmul_a_bt(x, &self.weight.value);
         y.add_row_vector(&self.bias.value);
         self.cache_x = Some(x.clone());

@@ -17,29 +17,30 @@
 //! products are accumulated in ascending-`k` order, one fused chain per
 //! element, exactly like the textbook three-loop kernel. Blocking changes
 //! *when* each product is added, never the per-element order — so results
-//! are bit-identical to the naive kernel for all inputs, which
-//! `tests/kernel_differential.rs` asserts. The one caveat is NaN encodings:
-//! IEEE leaves a NaN result's sign/payload unspecified and LLVM exploits
-//! that freedom differently across opt levels, so the differential tests
-//! demand exact bits for every non-NaN lane and canonicalize NaNs. (This
-//! is also why there is no zero-skip: `if a != 0` shortcuts would diverge
-//! on `0 × ∞ = NaN` inputs and defeat vectorisation.)
+//! are bit-identical to the naive kernel for all inputs and all six entry
+//! points, which `tests/kernel_differential.rs` asserts. The one caveat is
+//! NaN encodings: IEEE leaves a NaN result's sign/payload unspecified and
+//! LLVM exploits that freedom differently across opt levels, so the
+//! differential tests demand exact bits for every non-NaN lane and
+//! canonicalize NaNs. (This is also why there is no zero-skip: `if a != 0`
+//! shortcuts would diverge on `0 × ∞ = NaN` inputs and defeat
+//! vectorisation.)
 //!
-//! Three layout variants cover everything the backward passes need without
-//! ever materialising a transpose:
+//! Three layout variants cover the forward and backward passes:
 //!
 //! * [`matmul`]      — `C = A · B`       with `A: [m,k]`, `B: [k,n]`
 //! * [`matmul_at_b`] — `C = Aᵀ · B`      with `A: [k,m]`, `B: [k,n]` (weight grads)
-//! * [`matmul_a_bt`] — `C = A · Bᵀ`      with `A: [m,k]`, `B: [n,k]` (input grads)
+//! * [`matmul_a_bt`] — `C = A · Bᵀ`      with `A: [m,k]`, `B: [n,k]` (forward linears, `Q · Kᵀ`)
 //!
-//! `matmul_a_bt` is dot-product shaped rather than AXPY shaped; it uses
-//! eight independent accumulation chains per element and is therefore
-//! compared against references with a tolerance, not bit equality.
+//! `matmul_at_b` has a panel of its own that reads `A` with stride `m`.
+//! `matmul_a_bt` transposes `B` once into a `[k,n]` buffer and runs the
+//! `matmul` panel on it, so only two panel bodies carry every product.
 //!
 //! Batched versions ([`bmm`], [`bmm_at_b`], [`bmm_a_bt`]) operate on 3-D
 //! tensors `[batch, ·, ·]`, parallelise over the batch dimension (the
 //! natural grain for multi-head attention) and route each slab through the
-//! same blocked cores, so the 2-D and batched kernels cannot drift apart.
+//! same blocked panels (`bmm_a_bt` after transposing the slab of `B`), so
+//! the 2-D and batched kernels cannot drift apart.
 //!
 //! **Dispatch**: each panel body is `#[inline(always)]` and is compiled
 //! twice — once for the build's baseline target and once inside a
@@ -61,6 +62,9 @@ const MC: usize = 32;
 const KC: usize = 64;
 /// Output-column panel; `KC * NC * 4` bytes ≈ 32 KiB ≈ L1.
 const NC: usize = 128;
+/// Tile edge of [`transpose`]: one 16×16 tile of the source and one of the
+/// destination (1 KiB each) stay in L1 while it is copied.
+const TILE: usize = 16;
 
 #[inline(always)]
 fn axpy(acc: &mut [f32], x: f32, row: &[f32]) {
@@ -221,55 +225,6 @@ fn matmul_at_b_panel_body(
     }
 }
 
-/// Dot-product panel for `C = A · Bᵀ` (rows of both operands are
-/// contiguous; each output element is one [`dot`]).
-fn matmul_a_bt_panel(a: &[f32], b: &[f32], cpanel: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: the clone's only requirement is AVX2, which
-        // `is_x86_feature_detected!("avx2")` just confirmed.
-        return unsafe { matmul_a_bt_panel_avx2(a, b, cpanel, i0, rows, k, n) };
-    }
-    matmul_a_bt_panel_body(a, b, cpanel, i0, rows, k, n)
-}
-
-/// [`matmul_a_bt_panel_body`] compiled with AVX2 enabled.
-///
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_a_bt_panel_avx2(
-    a: &[f32],
-    b: &[f32],
-    cpanel: &mut [f32],
-    i0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    matmul_a_bt_panel_body(a, b, cpanel, i0, rows, k, n)
-}
-
-#[inline(always)]
-fn matmul_a_bt_panel_body(
-    a: &[f32],
-    b: &[f32],
-    cpanel: &mut [f32],
-    i0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    for r in 0..rows {
-        let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-        let crow = &mut cpanel[r * n..(r + 1) * n];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            *cv = dot(arow, &b[j * k..(j + 1) * k]);
-        }
-    }
-}
-
 /// `C = A · B` for `A: [m,k]`, `B: [k,n]`.
 ///
 /// # Panics
@@ -331,9 +286,8 @@ pub fn matmul_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize,
 
 /// `C = A · Bᵀ` for `A: [m,k]`, `B: [n,k]` → `C: [m,n]`.
 ///
-/// This is the input-gradient shape `dX = dY · Wᵀ` (with `W: [n,k]` stored
+/// This is the forward shape `Y = X · Wᵀ` (with `W: [n,k]` stored
 /// row-major as out×in) and also the attention-score shape `Q · Kᵀ`.
-/// Each output element is a dot product of two contiguous rows.
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.ndim(), 2, "matmul_a_bt: A must be 2-D");
     assert_eq!(b.ndim(), 2, "matmul_a_bt: B must be 2-D");
@@ -345,38 +299,31 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-#[inline(always)]
-fn dot(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    // Eight partial sums give the optimiser independent accumulation
-    // chains wide enough for one f32x8 vector register.
-    let mut s = [0.0f32; 8];
-    let mut xc = x.chunks_exact(8);
-    let mut yc = y.chunks_exact(8);
-    for (xv, yv) in (&mut xc).zip(&mut yc) {
-        for l in 0..8 {
-            s[l] += xv[l] * yv[l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for (xv, yv) in xc.remainder().iter().zip(yc.remainder().iter()) {
-        tail += xv * yv;
-    }
-    (s[0] + s[4]) + (s[1] + s[5]) + (s[2] + s[6]) + (s[3] + s[7]) + tail
+/// Raw-slice core of [`matmul_a_bt`]: transposes `B` into a `[k,n]` buffer
+/// once, then adds `A · Bᵀ` into `c` through [`matmul_into`].
+pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_into(a, &transpose(b, n, k), c, m, k, n);
 }
 
-/// Raw-slice core of [`matmul_a_bt`].
-pub fn matmul_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        c.par_chunks_mut(MC * n).enumerate().for_each(|(ci, cpanel)| {
-            matmul_a_bt_panel(a, b, cpanel, ci * MC, cpanel.len() / n, k, n);
-        });
-    } else if n > 0 {
-        matmul_a_bt_panel(a, b, c, 0, m, k, n);
+/// `src: [rows, cols]` → a fresh `[cols, rows]` buffer, copied in
+/// `TILE × TILE` tiles so neither side is streamed with a cache-missing
+/// stride. The one transpose of the crate: [`matmul_a_bt`], [`bmm_a_bt`]
+/// and [`Tensor::transpose2`] share it.
+pub(crate) fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    debug_assert_eq!(src.len(), rows * cols);
+    let mut dst = vec![0.0f32; rows * cols];
+    for i0 in (0..rows).step_by(TILE) {
+        let iend = (i0 + TILE).min(rows);
+        for j0 in (0..cols).step_by(TILE) {
+            let jend = (j0 + TILE).min(cols);
+            for i in i0..iend {
+                for j in j0..jend {
+                    dst[j * rows + i] = src[i * cols + j];
+                }
+            }
+        }
     }
+    dst
 }
 
 fn batch_dims3(t: &Tensor, what: &str) -> (usize, usize, usize) {
@@ -420,8 +367,8 @@ pub fn bmm_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
         .enumerate()
         .for_each(|(bi, cslab)| {
             let aslab = &a.data()[bi * m * k..(bi + 1) * m * k];
-            let bslab = &b.data()[bi * n * k..(bi + 1) * n * k];
-            matmul_a_bt_panel(aslab, bslab, cslab, 0, m, k, n);
+            let bt = transpose(&b.data()[bi * n * k..(bi + 1) * n * k], n, k);
+            matmul_panel(aslab, &bt, cslab, 0, m, k, n);
         });
     out
 }
@@ -526,7 +473,10 @@ mod tests {
         let b = seq_tensor(&[3, 6], -0.2);
         let fused = matmul_a_bt(&a, &b);
         let explicit = matmul(&a, &b.transpose2());
-        assert!(fused.max_abs_diff(&explicit) < 1e-4);
+        assert_eq!(
+            fused.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            explicit.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -591,14 +541,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dot_matches_reference() {
-        let x: Vec<f32> = (0..13).map(|i| i as f32 * 0.5).collect();
-        let y: Vec<f32> = (0..13).map(|i| 1.0 - i as f32 * 0.25).collect();
-        let reference: f32 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        assert!((dot(&x, &y) - reference).abs() < 1e-4);
-    }
-
     /// `kernel_differential`'s shape mix: tiny dims, exact MC/KC/NC tile
     /// multiples, dims straddling a tile, and anything up to 200.
     fn trial_dims(rng: &mut TensorRng) -> [usize; 3] {
@@ -640,7 +582,6 @@ mod tests {
     enum Layout {
         Nn,
         AtB,
-        ABt,
     }
 
     /// Run one layout's panel over `[m, n]` in MC-row panels, as the
@@ -652,7 +593,6 @@ mod tests {
             match (layout, avx2) {
                 (Layout::Nn, false) => matmul_panel_body(a, b, cpanel, i0, rows, k, n),
                 (Layout::AtB, false) => matmul_at_b_panel_body(a, b, cpanel, i0, rows, [k, m, n]),
-                (Layout::ABt, false) => matmul_a_bt_panel_body(a, b, cpanel, i0, rows, k, n),
                 #[cfg(target_arch = "x86_64")]
                 (layout, true) => {
                     assert!(is_x86_feature_detected!("avx2"));
@@ -661,7 +601,6 @@ mod tests {
                         match layout {
                             Layout::Nn => matmul_panel_avx2(a, b, cpanel, i0, rows, k, n),
                             Layout::AtB => matmul_at_b_panel_avx2(a, b, cpanel, i0, rows, [k, m, n]),
-                            Layout::ABt => matmul_a_bt_panel_avx2(a, b, cpanel, i0, rows, k, n),
                         }
                     }
                 }
@@ -672,7 +611,7 @@ mod tests {
         c
     }
 
-    /// Textbook ascending-k reference for the two AXPY-shaped layouts.
+    /// Textbook ascending-k reference for both panel layouts.
     fn naive(layout: Layout, a: &[f32], b: &[f32], [m, k, n]: [usize; 3]) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
         for i in 0..m {
@@ -680,8 +619,8 @@ mod tests {
                 let mut s = 0.0f32;
                 for kk in 0..k {
                     let av = match layout {
+                        Layout::Nn => a[i * k + kk],
                         Layout::AtB => a[kk * m + i],
-                        _ => a[i * k + kk],
                     };
                     s += av * b[kk * n + j];
                 }
@@ -702,18 +641,16 @@ mod tests {
         }
         let mut rng = TensorRng::seed_from(0xA5C2);
         for trial in 0..64 {
-            for layout in [Layout::Nn, Layout::AtB, Layout::ABt] {
+            for layout in [Layout::Nn, Layout::AtB] {
                 let dims @ [m, k, n] = trial_dims(&mut rng);
                 let a = edge_fill(&mut rng, m * k);
                 let b = edge_fill(&mut rng, k * n);
                 let portable = run_panels(layout, false, &a, &b, dims);
-                if !matches!(layout, Layout::ABt) {
-                    assert_eq!(
-                        canonical_bits(&portable),
-                        canonical_bits(&naive(layout, &a, &b, dims)),
-                        "trial {trial} {layout:?} {m}x{k}x{n}: portable body diverged from naive"
-                    );
-                }
+                assert_eq!(
+                    canonical_bits(&portable),
+                    canonical_bits(&naive(layout, &a, &b, dims)),
+                    "trial {trial} {layout:?} {m}x{k}x{n}: portable body diverged from naive"
+                );
                 if avx2 {
                     assert_eq!(
                         canonical_bits(&run_panels(layout, true, &a, &b, dims)),

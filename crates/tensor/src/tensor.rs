@@ -170,17 +170,12 @@ impl Tensor {
         Tensor::from_vec(&[end - start, cols], self.data[start * cols..end * cols].to_vec())
     }
 
-    /// Transpose of a 2-D tensor (allocates).
+    /// Transpose of a 2-D tensor (allocates; the cache-blocked transpose
+    /// that [`crate::matmul_a_bt`] runs on its right operand).
     pub fn transpose2(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "transpose2() requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Tensor::from_vec(&[n, m], out)
+        Tensor::from_vec(&[n, m], crate::matmul::transpose(&self.data, m, n))
     }
 
     /// `true` iff any element is NaN or infinite.

@@ -12,6 +12,10 @@ fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..12, 1usize..12, 1usize..12)
 }
 
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -45,9 +49,9 @@ proptest! {
         // (Aᵀ)ᵀ·B via the fused kernel must equal A·B.
         let via_at = matmul_at_b(&a.transpose2(), &b);
         prop_assert!(direct.max_abs_diff(&via_at) < 1e-3);
-        // A·(Bᵀ)ᵀ via the fused kernel must equal A·B.
+        // A·(Bᵀ)ᵀ must equal A·B bit for bit: both accumulate in ascending k.
         let via_bt = matmul_a_bt(&a, &b.transpose2());
-        prop_assert!(direct.max_abs_diff(&via_bt) < 1e-3);
+        prop_assert_eq!(bits(&direct), bits(&via_bt));
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! references, and the fused AdamW against its retained scalar reference
 //! (`AdamW::step_reference`).
 //!
-//! The contract under test is the one `DESIGN.md` §13 states: blocking and
-//! fusion reorder *memory traffic*, never the per-element floating-point
-//! operation sequence. For the AXPY-shaped kernels (`matmul`,
-//! `matmul_at_b`, the batched variants) and for AdamW that means
-//! **bit-identical** results — asserted across ~64 seeded shapes per
-//! kernel, deliberately including non-multiples of the MC/KC/NC tiles,
-//! degenerate dims, denormals, zero gradients and NaN/∞ inputs. The
-//! dot-shaped `matmul_a_bt` uses eight accumulation chains and is held to
-//! a tight relative tolerance instead.
+//! The contract under test is the one `DESIGN.md` §13 states: blocking,
+//! transposing and fusion reorder *memory traffic*, never the per-element
+//! floating-point operation sequence. For all six matmul entry points
+//! (`matmul`, `matmul_at_b`, `matmul_a_bt` and their batched variants)
+//! and for AdamW that means **bit-identical** results — asserted across
+//! ~64 seeded shapes per kernel, deliberately including non-multiples of
+//! the MC/KC/NC tiles, degenerate dims, denormals, zero gradients and
+//! NaN/∞ inputs (NaN lanes canonicalized).
 
 use geofm_nn::{AdamW, Optimizer};
 use geofm_tensor::{bmm, bmm_a_bt, bmm_at_b, matmul, matmul_a_bt, matmul_at_b, Tensor, TensorRng};
@@ -133,9 +132,7 @@ fn blocked_at_b_bit_identical_to_naive_across_shapes() {
 }
 
 #[test]
-fn a_bt_matches_naive_within_tight_tolerance() {
-    // dot-shaped kernel: eight accumulation chains reassociate the sum, so
-    // the contract is a tight relative error bound, not bit equality
+fn blocked_a_bt_bit_identical_to_naive_across_shapes() {
     for trial in 0..TRIALS {
         let (m, k, n) = trial_dims(33, trial);
         let mut rng = TensorRng::seed_from(300 + trial);
@@ -143,13 +140,11 @@ fn a_bt_matches_naive_within_tight_tolerance() {
         let b = rand_tensor(&mut rng, &[n, k]);
         let fast = matmul_a_bt(&a, &b);
         let slow = naive_a_bt(&a, &b);
-        for (i, (x, y)) in fast.data().iter().zip(slow.data()).enumerate() {
-            let scale = y.abs().max((k as f32).sqrt());
-            assert!(
-                (x - y).abs() <= 1e-5 * scale,
-                "trial {trial} ({m}x{k}x{n}) elem {i}: {x} vs {y}"
-            );
-        }
+        assert_eq!(
+            bits(fast.data()),
+            bits(slow.data()),
+            "trial {trial} ({m}x{k}x{n}): blocked matmul_a_bt diverged from naive"
+        );
     }
 }
 
@@ -198,8 +193,8 @@ fn batched_kernels_bit_identical_to_their_2d_cores() {
 
 #[test]
 fn matmul_edge_values_follow_ieee_like_the_reference() {
-    // ±0, ∞, NaN, denormals: the blocked kernel must propagate them the
-    // way the naive loop does (no zero-skip shortcuts)
+    // ±0, ∞, NaN, denormals: the blocked kernels, A·B and A·Bᵀ, must
+    // propagate them the way the naive loop does (no zero-skip shortcuts)
     let specials = [
         0.0f32,
         -0.0,
@@ -235,6 +230,15 @@ fn matmul_edge_values_follow_ieee_like_the_reference() {
             canonical_bits(fast.data()),
             canonical_bits(slow.data()),
             "trial {trial} ({m}x{k}x{n}): edge-value matmul diverged \
+             (non-NaN bits exact, NaNs canonicalized)"
+        );
+        let bt = Tensor::from_vec(&[n, k], fill(&mut rng, n * k));
+        let fast = matmul_a_bt(&a, &bt);
+        let slow = naive_a_bt(&a, &bt);
+        assert_eq!(
+            canonical_bits(fast.data()),
+            canonical_bits(slow.data()),
+            "trial {trial} ({m}x{k}x{n}): edge-value matmul_a_bt diverged \
              (non-NaN bits exact, NaNs canonicalized)"
         );
     }
