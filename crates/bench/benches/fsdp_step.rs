@@ -1,8 +1,6 @@
 //! Distributed-step benchmarks per sharding strategy, plus the
 //! unit-granularity ablation (per-block FSDP units vs one whole-model flat
-//! unit — the message-sizing trade-off §IV-C discusses for DDP vs FSDP)
-//! and the comm/compute overlap on/off comparison (the knob `figU` sweeps
-//! in the DES, here measured on the real rank-thread engine).
+//! unit — the message-sizing trade-off §IV-C discusses for DDP vs FSDP).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geofm_bench::quick_criterion;
@@ -25,10 +23,10 @@ fn tiny() -> VitConfig {
     }
 }
 
-fn run_steps(strategy: ShardingStrategy, world: usize, whole_model_unit: bool, overlap: bool) {
+fn run_steps(strategy: ShardingStrategy, world: usize, whole_model_unit: bool) {
     let cfg = tiny();
     let report = run_data_parallel(
-        if overlap { FsdpConfig::overlapped(strategy) } else { FsdpConfig::tuned(strategy) },
+        FsdpConfig::tuned(strategy),
         world,
         0.01,
         2,
@@ -72,7 +70,7 @@ fn bench_strategies(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("strategy", strategy.name()),
             &strategy,
-            |b, &s| b.iter(|| run_steps(s, 4, false, false)),
+            |b, &s| b.iter(|| run_steps(s, 4, false)),
         );
     }
     group.finish();
@@ -81,36 +79,17 @@ fn bench_strategies(c: &mut Criterion) {
 fn bench_unit_granularity(c: &mut Criterion) {
     let mut group = c.benchmark_group("unit_granularity");
     group.bench_function("per_block_units", |b| {
-        b.iter(|| run_steps(ShardingStrategy::FullShard, 4, false, false))
+        b.iter(|| run_steps(ShardingStrategy::FullShard, 4, false))
     });
     group.bench_function("whole_model_unit", |b| {
-        b.iter(|| run_steps(ShardingStrategy::FullShard, 4, true, false))
+        b.iter(|| run_steps(ShardingStrategy::FullShard, 4, true))
     });
-    group.finish();
-}
-
-fn bench_overlap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("overlap");
-    for strategy in [
-        ShardingStrategy::NoShard,
-        ShardingStrategy::FullShard,
-        ShardingStrategy::ShardGradOp,
-        ShardingStrategy::Hybrid { shard_size: 2 },
-    ] {
-        for (mode, overlap) in [("overlap_off", false), ("overlap_on", true)] {
-            group.bench_with_input(
-                BenchmarkId::new(strategy.name(), mode),
-                &overlap,
-                |b, &on| b.iter(|| run_steps(strategy, 4, false, on)),
-            );
-        }
-    }
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = bench_strategies, bench_unit_granularity, bench_overlap
+    targets = bench_strategies, bench_unit_granularity
 }
 criterion_main!(benches);

@@ -1,50 +1,24 @@
-//! Perf-budget gate over `BENCH_overlap.json` — the CI teeth behind the
-//! overlap engine. Two checks, both against numbers the paired-interleaved
-//! bench runner just produced:
+//! Perf-budget gate over `BENCH_step.json`: each strategy's median
+//! ns/step, as `bench_step` just measured it, must stay within
+//! `REGRESSION_FRAC` of the committed baseline `results/BENCH_step.json`.
+//! A strategy absent from the baseline is reported and skipped.
 //!
-//! 1. **Overlap must not lose.** For every sharded strategy the median
-//!    paired delta (overlap-on minus overlap-off, measured within the same
-//!    rep so machine drift cancels) must not exceed the noise floor,
-//!    `NOISE_FRAC` of the overlap-off median. On a single-core runner the
-//!    overlap engine cannot beat the blocking path by parallelism — total
-//!    wall-clock equals total CPU work — so "win" degrades to "parity
-//!    within noise"; on multi-core hardware the same gate tightens into a
-//!    real win requirement because the structural overlap shows up as a
-//!    negative delta. A commit that re-serializes the pipeline (mutexed
-//!    queue, per-job allocation, eager wakeups) blows well past the floor.
-//! 2. **No silent regression vs the committed baseline.** Both the off and
-//!    on ns/step medians must stay within `REGRESSION_FRAC` of
-//!    `results/BENCH_overlap.json`. This catches the other failure mode:
-//!    both cells getting slower together, which check 1 is blind to.
+//! JSON parsing is hand-rolled against the exact shape `bench_step` emits
+//! (no new dependencies; the format is ours).
 //!
-//! JSON parsing is hand-rolled against the exact shape `bench_overlap`
-//! emits (no new dependencies; the format is ours).
-//!
-//! Usage: `perf_budget <current.json> [baseline.json]`
+//! Usage: `perf_budget <current.json> <baseline.json>`
 //! Exit status 0 = within budget, 1 = budget violated, 2 = bad input.
 
 use std::process::ExitCode;
 
-/// Floor for the on-vs-off paired delta, as a fraction of the
-/// overlap-off median. On the single-core CI runner the async machinery
-/// plus scheduler stagger measures +2–4% with ±3% run-to-run drift of
-/// the paired-delta median itself; 5% sits just above that envelope
-/// while staying far below the regression this gate exists to catch —
-/// the old mutex/condvar queue engine measured +17–20% on the same
-/// bench. On a multi-core runner real overlap pulls the delta negative
-/// and the same floor tightens into a strict win requirement.
-const NOISE_FRAC: f64 = 0.05;
-
-/// Allowed regression of either cell's ns/step median vs the committed
+/// Allowed regression of a strategy's ns/step median vs the committed
 /// baseline artifact.
 const REGRESSION_FRAC: f64 = 0.05;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Row {
     strategy: String,
-    off_ns: u64,
-    on_ns: u64,
-    paired_delta_ns: i64,
+    ns: u64,
 }
 
 /// Extract the string value of `"key": "value"` from a JSON object body.
@@ -56,7 +30,7 @@ fn str_field(obj: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// Extract the (possibly negative) integer value of `"key": n`.
+/// Extract the integer value of `"key": n`.
 fn int_field(obj: &str, key: &str) -> Option<i64> {
     let pat = format!("\"{key}\"");
     let rest = &obj[obj.find(&pat)? + pat.len()..];
@@ -67,9 +41,7 @@ fn int_field(obj: &str, key: &str) -> Option<i64> {
     rest[..end].parse().ok()
 }
 
-/// Parse the `rows` array of a `BENCH_overlap.json` document. Tolerates a
-/// missing `median_paired_delta_ns` (older artifacts) by deriving it as
-/// `on - off` — without pairing that is the best available estimate.
+/// Parse the `rows` array of a `BENCH_step.json` document.
 fn parse_rows(doc: &str) -> Result<Vec<Row>, String> {
     let rows_at = doc.find("\"rows\"").ok_or("no \"rows\" key")?;
     let body = &doc[rows_at..];
@@ -80,18 +52,13 @@ fn parse_rows(doc: &str) -> Result<Vec<Row>, String> {
     while let Some(start) = rest.find('{') {
         let end = rest[start..].find('}').ok_or("unterminated row object")? + start;
         let obj = &rest[start..=end];
-        let off = int_field(obj, "overlap_off_ns_per_step")
-            .ok_or("row missing overlap_off_ns_per_step")?;
-        let on = int_field(obj, "overlap_on_ns_per_step")
-            .ok_or("row missing overlap_on_ns_per_step")?;
-        if off <= 0 || on <= 0 {
-            return Err(format!("degenerate timings in row: {obj}"));
+        let ns = int_field(obj, "ns_per_step").ok_or("row missing ns_per_step")?;
+        if ns <= 0 {
+            return Err(format!("degenerate timing in row: {obj}"));
         }
         rows.push(Row {
             strategy: str_field(obj, "strategy").ok_or("row missing strategy")?,
-            off_ns: off as u64,
-            on_ns: on as u64,
-            paired_delta_ns: int_field(obj, "median_paired_delta_ns").unwrap_or(on - off),
+            ns: ns as u64,
         });
         rest = &rest[end + 1..];
     }
@@ -101,38 +68,6 @@ fn parse_rows(doc: &str) -> Result<Vec<Row>, String> {
     Ok(rows)
 }
 
-/// Strategies where the overlap engine actually pipelines collectives
-/// against compute and the gate demands parity-or-better. `no_shard`
-/// reports but does not gate: its single fused all-reduce leaves nothing
-/// to overlap, so its delta is pure machinery noise.
-fn gated(strategy: &str) -> bool {
-    !strategy.eq_ignore_ascii_case("no_shard")
-}
-
-fn check_overlap_wins(rows: &[Row]) -> Vec<String> {
-    let mut violations = Vec::new();
-    for r in rows {
-        let floor = (r.off_ns as f64 * NOISE_FRAC) as i64;
-        let verdict = if !gated(&r.strategy) {
-            "info"
-        } else if r.paired_delta_ns > floor {
-            violations.push(format!(
-                "{}: overlap-on slower than overlap-off by {} ns/step \
-                 (paired median; noise floor {} ns)",
-                r.strategy, r.paired_delta_ns, floor
-            ));
-            "FAIL"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:>14}: off {:>10} ns  on {:>10} ns  paired-delta {:>8} ns  [{}]",
-            r.strategy, r.off_ns, r.on_ns, r.paired_delta_ns, verdict
-        );
-    }
-    violations
-}
-
 fn check_baseline(rows: &[Row], baseline: &[Row]) -> Vec<String> {
     let mut violations = Vec::new();
     for r in rows {
@@ -140,69 +75,53 @@ fn check_baseline(rows: &[Row], baseline: &[Row]) -> Vec<String> {
             println!("  {:>14}: not in baseline, skipping", r.strategy);
             continue;
         };
-        for (label, cur, base) in
-            [("overlap-off", r.off_ns, b.off_ns), ("overlap-on", r.on_ns, b.on_ns)]
-        {
-            let limit = (base as f64 * (1.0 + REGRESSION_FRAC)) as u64;
-            if cur > limit {
-                violations.push(format!(
-                    "{} {}: {} ns/step vs baseline {} ns/step (limit {})",
-                    r.strategy, label, cur, base, limit
-                ));
-            }
-        }
+        let limit = (b.ns as f64 * (1.0 + REGRESSION_FRAC)) as u64;
+        let verdict = if r.ns > limit {
+            violations.push(format!(
+                "{}: {} ns/step vs baseline {} ns/step (limit {})",
+                r.strategy, r.ns, b.ns, limit
+            ));
+            "FAIL"
+        } else {
+            "ok"
+        };
+        println!(
+            "  {:>14}: {:>10} ns  baseline {:>10} ns  ({:+.1}%)  [{}]",
+            r.strategy,
+            r.ns,
+            b.ns,
+            (r.ns as f64 / b.ns as f64 - 1.0) * 100.0,
+            verdict
+        );
     }
     violations
 }
 
+/// Read and parse one bench artifact.
+fn load(path: &str) -> Result<Vec<Row>, String> {
+    let doc = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_rows(&doc).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(current_path) = args.next() else {
-        eprintln!("usage: perf_budget <current.json> [baseline.json]");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [current_path, baseline_path] = args.as_slice() else {
+        eprintln!("usage: perf_budget <current.json> <baseline.json>");
         return ExitCode::from(2);
     };
-    let baseline_path = args.next();
-
-    let doc = match std::fs::read_to_string(&current_path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("perf_budget: cannot read {current_path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let rows = match parse_rows(&doc) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("perf_budget: cannot parse {current_path}: {e}");
+    let (rows, baseline) = match (load(current_path), load(baseline_path)) {
+        (Ok(r), Ok(b)) => (r, b),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("perf_budget: {e}");
             return ExitCode::from(2);
         }
     };
 
-    println!("perf_budget: overlap-on vs overlap-off ({current_path})");
-    let mut violations = check_overlap_wins(&rows);
-
-    if let Some(bp) = baseline_path {
-        match std::fs::read_to_string(&bp) {
-            Ok(bdoc) => match parse_rows(&bdoc) {
-                Ok(baseline) => {
-                    println!(
-                        "perf_budget: regression vs baseline ({bp}, limit +{:.0}%)",
-                        REGRESSION_FRAC * 100.0
-                    );
-                    violations.extend(check_baseline(&rows, &baseline));
-                }
-                Err(e) => {
-                    eprintln!("perf_budget: cannot parse baseline {bp}: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("perf_budget: cannot read baseline {bp}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
+    println!(
+        "perf_budget: {current_path} vs baseline {baseline_path} (limit +{:.0}%)",
+        REGRESSION_FRAC * 100.0
+    );
+    let violations = check_baseline(&rows, &baseline);
     if violations.is_empty() {
         println!("perf_budget: PASS");
         ExitCode::SUCCESS
@@ -219,11 +138,11 @@ mod tests {
     use super::*;
 
     const DOC: &str = r#"{
-  "bench": "fsdp_step_overlap",
+  "bench": "fsdp_step",
   "world": 4,
   "rows": [
-    {"strategy": "no_shard", "overlap_off_ns_per_step": 1000, "overlap_on_ns_per_step": 1100, "median_paired_delta_ns": 90},
-    {"strategy": "full_shard", "overlap_off_ns_per_step": 2000, "overlap_on_ns_per_step": 1990, "median_paired_delta_ns": -12}
+    {"strategy": "no_shard", "ns_per_step": 1000},
+    {"strategy": "full_shard", "ns_per_step": 2000}
   ]
 }"#;
 
@@ -232,51 +151,28 @@ mod tests {
         let rows = parse_rows(DOC).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].strategy, "no_shard");
-        assert_eq!(rows[0].off_ns, 1000);
-        assert_eq!(rows[1].paired_delta_ns, -12);
+        assert_eq!(rows[0].ns, 1000);
+        assert_eq!(rows[1].ns, 2000);
     }
 
     #[test]
-    fn missing_delta_field_falls_back_to_on_minus_off() {
-        let doc = r#"{"rows": [{"strategy": "full_shard",
-            "overlap_off_ns_per_step": 500, "overlap_on_ns_per_step": 520}]}"#;
-        let rows = parse_rows(doc).unwrap();
-        assert_eq!(rows[0].paired_delta_ns, 20);
-    }
-
-    #[test]
-    fn no_shard_delta_does_not_gate_but_sharded_does() {
-        let rows = parse_rows(DOC).unwrap();
-        // no_shard's 9% delta is informational; full_shard is negative → ok.
-        assert!(check_overlap_wins(&rows).is_empty());
-        let mut bad = rows.clone();
-        bad[1].paired_delta_ns = 200; // 10% of off, above the noise floor
-        assert_eq!(check_overlap_wins(&bad).len(), 1);
-    }
-
-    #[test]
-    fn delta_within_noise_floor_passes() {
-        let mut rows = parse_rows(DOC).unwrap();
-        rows[1].paired_delta_ns = (rows[1].off_ns as f64 * NOISE_FRAC) as i64;
-        assert!(check_overlap_wins(&rows).is_empty());
-    }
-
-    #[test]
-    fn baseline_regression_detected_per_cell() {
+    fn baseline_regression_detected_per_strategy() {
         let baseline = parse_rows(DOC).unwrap();
         let mut current = baseline.clone();
         assert!(check_baseline(&current, &baseline).is_empty());
-        current[1].on_ns = (baseline[1].on_ns as f64 * 1.06) as u64;
+        // exactly at the limit passes; past it fails, for that strategy only
+        current[1].ns = (baseline[1].ns as f64 * (1.0 + REGRESSION_FRAC)) as u64;
+        assert!(check_baseline(&current, &baseline).is_empty());
+        current[1].ns = (baseline[1].ns as f64 * 1.06) as u64;
         let v = check_baseline(&current, &baseline);
         assert_eq!(v.len(), 1);
-        assert!(v[0].contains("full_shard overlap-on"));
+        assert!(v[0].starts_with("full_shard:"));
     }
 
     #[test]
     fn strategy_absent_from_baseline_is_skipped() {
         let baseline = parse_rows(DOC).unwrap();
-        let extra = r#"{"rows": [{"strategy": "hybrid_2",
-            "overlap_off_ns_per_step": 900, "overlap_on_ns_per_step": 880}]}"#;
+        let extra = r#"{"rows": [{"strategy": "hybrid_2", "ns_per_step": 900}]}"#;
         let current = parse_rows(extra).unwrap();
         assert!(check_baseline(&current, &baseline).is_empty());
     }
@@ -286,10 +182,7 @@ mod tests {
         assert!(parse_rows("{}").is_err());
         assert!(parse_rows(r#"{"rows": []}"#).is_err());
         assert!(parse_rows(r#"{"rows": [{"strategy": "x"}]}"#).is_err());
-        assert!(parse_rows(
-            r#"{"rows": [{"strategy": "x", "overlap_off_ns_per_step": 0,
-               "overlap_on_ns_per_step": 5}]}"#
-        )
-        .is_err());
+        assert!(parse_rows(r#"{"rows": [{"strategy": "x", "ns_per_step": 0}]}"#).is_err());
+        assert!(parse_rows(r#"{"rows": [{"ns_per_step": 5}]}"#).is_err());
     }
 }

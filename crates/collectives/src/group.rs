@@ -324,9 +324,8 @@ impl RankHandle {
     /// guarded contribution, cross the entry barrier, then scan every
     /// mailbox for a checksum mismatch. Paired with
     /// [`RankHandle::reduce_epilogue`], this keeps the timeout/poison/
-    /// verdict plumbing in exactly one place — the blocking ops and the
-    /// nonblocking comm-thread path all funnel through it instead of each
-    /// op carrying its own copy.
+    /// verdict plumbing in exactly one place instead of each op carrying
+    /// its own copy.
     fn reduce_prologue(&self, buf: &[f32]) -> Result<Option<CorruptPayload>, RankLost> {
         self.publish_guarded(buf);
         self.try_barrier()?;

@@ -22,11 +22,11 @@
 //! surfacing an injected or real bit flip as a structured
 //! [`CorruptPayload`] on every rank instead of averaging garbage.
 //!
-//! Finally, the collectives come in a *nonblocking* flavour: a per-rank
-//! [`CommThread`] plays the role of the GPU comm stream, and its
-//! `*_async` methods return a [`CollectiveHandle`] whose `wait()` yields
-//! bit-identical results to the blocking call (see [`nonblocking`]) —
-//! the substrate of `geofm-fsdp`'s comm/compute overlap engine.
+//! Every collective is blocking: [`RankHandle`]'s verbs (`try_all_gather`,
+//! `try_reduce_scatter`, `try_all_reduce`, `try_barrier`) return once the
+//! exchange is complete, and they are the only way a rank reaches its
+//! peers. Overlap of communication with compute is priced by the
+//! `geofm-frontier` simulator, not run here.
 
 pub mod adaptive;
 pub mod barrier;
@@ -34,9 +34,6 @@ pub mod consensus;
 pub mod group;
 pub mod guard;
 pub mod hierarchy;
-pub mod nonblocking;
-pub mod pool;
-pub mod spsc;
 pub mod traffic;
 
 pub use adaptive::{AdaptiveTimeout, AdaptiveTimeoutConfig};
@@ -45,8 +42,4 @@ pub use consensus::{ConsensusError, SurvivorConsensus};
 pub use group::{Group, RankHandle};
 pub use guard::{CollectiveError, CorruptPayload, SabotageCell};
 pub use hierarchy::{HierarchyLayout, ProcessGroups, RankGroups};
-pub use nonblocking::{
-    AsyncOp, CellPoolStats, CollectiveHandle, CommGroup, CommThread, OwnedAsyncOp,
-};
-pub use pool::{BufferPool, PoolStats};
 pub use traffic::{CollectiveKind, TrafficCounter, TrafficSnapshot};

@@ -52,9 +52,9 @@ pub struct ElasticModel {
     /// injection bandwidth (4 × 25 GB/s on Frontier) — default 100 GB/s.
     pub reshard_bw: f64,
     /// Latency of the survivor consensus round plus drain (seconds).
-    /// Measured in `reshard.consensus.ns`/`reshard.drain.ns` telemetry as
-    /// sub-millisecond at test scale; the default budgets 250 ms for a
-    /// full-system barrier plus software overhead.
+    /// Measured in `reshard.consensus.ns` telemetry as sub-millisecond at
+    /// test scale; the default budgets 250 ms for a full-system barrier
+    /// plus software overhead.
     pub consensus_alpha_s: f64,
     /// Fraction of the original world below which the shrunken job stops
     /// and waits for spares instead of continuing (memory and goodput both

@@ -223,8 +223,8 @@ pub fn build_step(
 /// communication is never concurrent with compute and the makespan is the
 /// plain sum of all durations. This is the "overlap off" counterfactual
 /// the `figU` sweep prices against the overlapped schedule — the DES twin
-/// of running `geofm-fsdp` with `OverlapConfig::off()` (every collective
-/// blocking on the compute thread).
+/// of the threaded `geofm-fsdp` engine, where every collective blocks the
+/// compute thread.
 pub fn serialize_streams(tasks: &[Task]) -> Vec<Task> {
     tasks
         .iter()

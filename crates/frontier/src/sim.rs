@@ -22,8 +22,9 @@ pub struct SimConfig {
     pub limit_all_gathers: bool,
     /// Comm/compute overlap: `true` (the default, what FSDP actually does)
     /// runs comm and compute on independent streams; `false` serializes
-    /// every task in issue order, fully exposing communication — the DES
-    /// twin of `geofm_fsdp::OverlapConfig`.
+    /// every task in issue order, fully exposing communication — what the
+    /// threaded `geofm-fsdp` engine does, since every one of its
+    /// collectives blocks the rank thread.
     pub overlap: bool,
     /// The per-rank step workload.
     pub workload: StepWorkload,

@@ -22,13 +22,12 @@
 //! prices — is the communication volume and schedule, which the engine
 //! meters through the shared [`geofm_collectives::TrafficCounter`].
 //!
-//! Collectives are issued either blocking or through a per-rank comm
-//! thread (see [`OverlapConfig`]): forward and backward gathers are
-//! prefetched `prefetch_depth` units ahead and gradient reduce-scatters
-//! are double-buffered, following the *identical* collective schedule as
-//! the blocking engine — so the two are bit-identical
-//! (`tests/overlap_equivalence.rs`) and only the exposed-comm fraction of
-//! the step changes (recorded as `overlap.*` telemetry).
+//! Every collective blocks the rank thread until it completes
+//! ([`geofm_collectives::RankHandle`]'s `try_*` verbs). The time a rank
+//! spends blocked is its exposed comm, recorded per step as
+//! `overlap.exposed.ns` next to the step's wall time `overlap.step.ns`.
+//! Hiding that time behind compute is priced by the Frontier simulator
+//! (`figU`), not run by this engine.
 
 pub mod flat;
 pub mod health;
@@ -44,7 +43,7 @@ pub use health::HealthMonitor;
 pub use rank::{FsdpRank, StepError, StepReport};
 pub use reshard::{global_to_shard, reshard, shards_to_global};
 pub use sentinel::{Sentinel, SentinelConfig, SentinelTrip};
-pub use strategy::{FsdpConfig, OverlapConfig, PrefetchPolicy, ShardingStrategy};
+pub use strategy::{FsdpConfig, PrefetchPolicy, ShardingStrategy};
 pub use trainer::{
     run_data_parallel, run_data_parallel_with_telemetry, try_run_data_parallel, try_run_elastic,
     try_run_streaming, DistReport, ElasticConfig, GuardConfig, ReshardEvent, ReshardKind,

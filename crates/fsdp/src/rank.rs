@@ -3,20 +3,15 @@
 
 use crate::flat::FlatLayout;
 use crate::strategy::{FsdpConfig, ShardingStrategy};
-use geofm_collectives::{
-    AsyncOp, CollectiveError, CollectiveHandle, CommGroup, CommThread, CorruptPayload,
-    OwnedAsyncOp, RankGroups,
-    RankLost,
-};
+use geofm_collectives::{CollectiveError, CorruptPayload, RankGroups, RankLost};
 use geofm_nn::{AdamW, AdamWState, Module, Optimizer};
 use geofm_telemetry::Telemetry;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Charge the wall time of a blocking collective call (or an async
-/// `wait()`) to this step's exposed-comm clock. A macro rather than a
-/// method so the timed expression can borrow disjoint fields of `$self`.
+/// Charge the wall time of a blocking collective call to this step's
+/// exposed-comm clock. A macro rather than a method so the timed
+/// expression can borrow disjoint fields of `$self`.
 macro_rules! exposed {
     ($self:ident, $e:expr) => {{
         let t0 = Instant::now();
@@ -26,13 +21,12 @@ macro_rules! exposed {
     }};
 }
 
-/// The reduce-path error contract shared by the blocking and overlapped
-/// engines: a corrupt verdict is *noted*, not short-circuited — the
-/// remaining collectives still run (their payloads are garbage, which is
-/// fine — no update gets applied) so every rank of every group crosses
-/// the same barrier sequence and the error surfaces in lockstep. Only a
-/// lost rank aborts immediately — its group is poisoned and nothing can
-/// complete.
+/// The reduce-path error contract: a corrupt verdict is *noted*, not
+/// short-circuited — the remaining collectives still run (their payloads
+/// are garbage, which is fine — no update gets applied) so every rank of
+/// every group crosses the same barrier sequence and the error surfaces in
+/// lockstep. Only a lost rank aborts immediately — its group is poisoned
+/// and nothing can complete.
 fn note(corrupt: &mut Option<CorruptPayload>, r: Result<(), CollectiveError>) -> Result<(), RankLost> {
     match r {
         Ok(()) => Ok(()),
@@ -105,10 +99,7 @@ pub struct FsdpRank<M: Module> {
     world: usize,
     shard_rank: usize,
     /// Owned parameter shards, concatenated across units.
-    /// `Arc` so in-flight gather jobs can read shards without a copy;
-    /// uniquely owned again (and mutable via `Arc::make_mut` at zero cost)
-    /// by the time the optimizer runs, since every gather is waited first.
-    owned_params: Arc<Vec<f32>>,
+    owned_params: Vec<f32>,
     /// Offsets of each unit's shard within `owned_params`.
     shard_offsets: Vec<usize>,
     optimizer: AdamW,
@@ -116,18 +107,8 @@ pub struct FsdpRank<M: Module> {
     /// Optional shared telemetry: phase timings land in histograms
     /// `fsdp.<phase>.ns` and as trace spans on thread track = global rank.
     telemetry: Option<Arc<Telemetry>>,
-    /// Comm thread driving the nonblocking collectives when
-    /// `config.overlap.enabled`; `None` runs the fully blocking engine.
-    comm: Option<CommThread>,
-    /// Shard / replica groups registered with the comm thread once at
-    /// construction — each async job then shares the registered handle by
-    /// `Arc` instead of deep-cloning a [`geofm_collectives::RankHandle`]
-    /// per collective.
-    comm_shard: Option<CommGroup>,
-    comm_replica: Option<CommGroup>,
     /// Nanoseconds of the current step spent *blocked* on communication
-    /// (exposed comm). Reset at the top of each step; with overlap on,
-    /// collective time hidden behind compute never lands here.
+    /// (exposed comm). Reset at the top of each step.
     exposed_ns: u64,
     // scratch buffers reused across steps
     flat: Vec<f32>,
@@ -181,10 +162,6 @@ impl<M: Module> FsdpRank<M> {
         let optimizer = AdamW::new(owned_params.len(), weight_decay)
             .with_decay_mask(owned_mask.iter().map(|&v| v > 0.5).collect());
 
-        let comm = config.overlap.enabled.then(CommThread::spawn);
-        let comm_shard = comm.as_ref().map(|c| c.register(&groups.shard));
-        let comm_replica = comm.as_ref().map(|c| c.register(&groups.replica));
-
         Self {
             model,
             config,
@@ -192,14 +169,11 @@ impl<M: Module> FsdpRank<M> {
             layout,
             world,
             shard_rank,
-            owned_params: Arc::new(owned_params),
+            owned_params,
             shard_offsets,
             optimizer,
             grad_clip: None,
             telemetry: None,
-            comm,
-            comm_shard,
-            comm_replica,
             exposed_ns: 0,
             flat,
             grads: Vec::new(),
@@ -252,34 +226,6 @@ impl<M: Module> FsdpRank<M> {
         self.owned_params.len()
     }
 
-    /// Usage counters of the comm thread's scratch-buffer pool (`None`
-    /// when the blocking engine runs). After a warmup step the `allocs`
-    /// counter must stop moving — the property `tests/buffer_pool.rs`
-    /// pins at trainer level.
-    pub fn comm_pool_stats(&self) -> Option<geofm_collectives::PoolStats> {
-        self.comm.as_ref().map(|c| c.pool().stats())
-    }
-
-    /// Drain the comm thread: block until every in-flight nonblocking
-    /// collective this rank issued has terminated (completed or failed).
-    /// The first half of the elastic drain protocol — no reshard may move
-    /// state while an async gather could still write into it. A no-op on
-    /// the blocking engine. Records the drain wait as `reshard.drain.ns`.
-    pub fn quiesce_comm(&self) {
-        let Some(comm) = &self.comm else { return };
-        let t0 = std::time::Instant::now();
-        comm.quiesce();
-        if let Some(t) = &self.telemetry {
-            t.metrics.histogram("reshard.drain.ns").record(t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Job-cell pool counters of the comm thread (`None` on the blocking
-    /// engine) — see [`geofm_collectives::CellPoolStats`].
-    pub fn comm_cell_stats(&self) -> Option<geofm_collectives::CellPoolStats> {
-        self.comm.as_ref().map(|c| c.cell_stats())
-    }
-
     fn owned_range(&self, u: usize) -> std::ops::Range<usize> {
         let s = self.shard_offsets[u];
         s..s + self.layout.shard_len(u)
@@ -287,17 +233,13 @@ impl<M: Module> FsdpRank<M> {
 
     /// All-gather every unit's parameters into the model.
     fn try_gather_params(&mut self) -> Result<(), RankLost> {
-        if self.comm.is_some() {
-            self.try_gather_units_overlapped(false)?;
-        } else {
-            for u in 0..self.layout.num_units() {
-                let r = self.owned_range(u);
-                exposed!(
-                    self,
-                    self.groups.shard.try_all_gather(&self.owned_params[r], &mut self.gathered)
-                )?;
-                self.layout.write_gathered(&mut self.flat, u, &self.gathered);
-            }
+        for u in 0..self.layout.num_units() {
+            let r = self.owned_range(u);
+            exposed!(
+                self,
+                self.groups.shard.try_all_gather(&self.owned_params[r], &mut self.gathered)
+            )?;
+            self.layout.write_gathered(&mut self.flat, u, &self.gathered);
         }
         self.model.unpack_values(&self.flat);
         Ok(())
@@ -307,81 +249,18 @@ impl<M: Module> FsdpRank<M> {
     /// semantics). Numerically a no-op here — parameters are unchanged —
     /// but it reproduces the strategy's communication volume exactly.
     fn try_regather_for_backward(&mut self) -> Result<(), RankLost> {
-        if self.comm.is_some() {
-            self.try_gather_units_overlapped(true)
-        } else {
-            for u in 0..self.layout.num_units() {
-                let r = self.owned_range(u);
-                exposed!(
-                    self,
-                    self.groups.shard.try_all_gather(&self.owned_params[r], &mut self.gathered)
-                )?;
-            }
-            Ok(())
-        }
-    }
-
-    /// Pipelined all-gathers on the comm thread: issue up to
-    /// `prefetch_depth` units ahead, wait in unit order, unpack on this
-    /// (compute) thread — the real-engine analogue of FSDP's forward /
-    /// backward prefetch. With `discard` the gathered data is dropped
-    /// (the backward re-gather: same traffic, no effect on `flat`).
-    ///
-    /// Waiting strictly in unit order keeps the cross-rank collective
-    /// schedule identical to the blocking engine's, which is what makes
-    /// the two bit-identical (`tests/overlap_equivalence.rs`).
-    fn try_gather_units_overlapped(&mut self, discard: bool) -> Result<(), RankLost> {
-        let depth = self.config.overlap.prefetch_depth.max(1);
-        let n = self.layout.num_units();
-        let first = depth.min(n);
-        // fill the whole prefetch window in one batched submission (a
-        // single release store publishes every job to the comm thread);
-        // shards ride in as zero-copy views of the shared parameter store
-        let mut pending: VecDeque<CollectiveHandle> = {
-            let comm = self.comm.as_ref().expect("overlap engine requires the comm thread");
-            let group = self.comm_shard.as_ref().expect("groups registered at construction");
-            let ops: Vec<OwnedAsyncOp> = (0..first)
-                .map(|u| {
-                    OwnedAsyncOp::AllGatherShared(
-                        Arc::clone(&self.owned_params),
-                        self.owned_range(u),
-                    )
-                })
-                .collect();
-            comm.submit_batch_owned(group, ops).into()
-        };
-        let mut next = first;
-        for u in 0..n {
-            let handle = pending.pop_front().expect("a gather was issued for every unit");
-            let gathered = match exposed!(self, handle.wait()) {
-                Ok(v) => v,
-                Err(CollectiveError::Lost(l)) => return Err(l),
-                // all-gather carries no checksum layer; only rank loss fails it
-                Err(CollectiveError::Corrupt(c)) => unreachable!("corrupt all-gather: {c}"),
-            };
-            if !discard {
-                self.layout.write_gathered(&mut self.flat, u, &gathered);
-            }
-            if let Some(c) = &self.comm {
-                c.recycle(gathered);
-            }
-            if next < n {
-                pending.push_back(self.issue_gather(next));
-                next += 1;
-            }
+        for u in 0..self.layout.num_units() {
+            let r = self.owned_range(u);
+            exposed!(
+                self,
+                self.groups.shard.try_all_gather(&self.owned_params[r], &mut self.gathered)
+            )?;
         }
         Ok(())
     }
 
-    fn issue_gather(&self, u: usize) -> CollectiveHandle {
-        let comm = self.comm.as_ref().expect("overlap engine requires the comm thread");
-        let group = self.comm_shard.as_ref().expect("groups registered at construction");
-        comm.all_gather_async_shared(group, &self.owned_params, self.owned_range(u))
-    }
-
-    /// Blocking gradient reduction (the pre-overlap engine), strategy by
-    /// strategy; fills `owned_grads`.
-    fn try_reduce_grads_blocking(
+    /// Gradient reduction, strategy by strategy; fills `owned_grads`.
+    fn try_reduce_grads(
         &mut self,
         corrupt: &mut Option<CorruptPayload>,
     ) -> Result<(), RankLost> {
@@ -437,168 +316,6 @@ impl<M: Module> FsdpRank<M> {
             }
         }
         Ok(())
-    }
-
-    /// Overlapped gradient reduction: the comm thread keeps up to
-    /// `prefetch_depth` reduces in flight (double-buffered reduce-scatter
-    /// for the sharded strategies) while this thread consumes results in
-    /// issue order — including running each unit's replica all-reduce
-    /// while the *next* unit's reduce-scatter is already on the wire.
-    /// Same collectives, same order, same groups as the blocking path, so
-    /// the result is bit-identical.
-    fn try_reduce_grads_overlapped(
-        &mut self,
-        corrupt: &mut Option<CorruptPayload>,
-    ) -> Result<(), RankLost> {
-        let depth = self.config.overlap.prefetch_depth.max(1);
-        match self.config.strategy {
-            ShardingStrategy::Ddp { bucket_bytes } => {
-                let bucket_elems = (bucket_bytes / 4).max(1);
-                let mut bounds = Vec::new();
-                let mut start = 0;
-                while start < self.grads.len() {
-                    let end = (start + bucket_elems).min(self.grads.len());
-                    bounds.push(start..end);
-                    start = end;
-                }
-                self.pipelined_all_reduce_ranges(&bounds, depth, corrupt)?;
-            }
-            ShardingStrategy::NoShard => {
-                let bounds = self.layout.unit_ranges.clone();
-                self.pipelined_all_reduce_ranges(&bounds, depth, corrupt)?;
-            }
-            ShardingStrategy::FullShard
-            | ShardingStrategy::ShardGradOp
-            | ShardingStrategy::Hybrid { .. } => {
-                let n = self.layout.num_units();
-                let first = depth.min(n);
-                // pad the first window straight into pooled buffers and
-                // hand them over by value: one padding copy per unit
-                // (same as the blocking engine's scratch) and one batched
-                // publish; the executor recycles each buffer after its
-                // reduce-scatter runs
-                let mut pending: VecDeque<CollectiveHandle> = {
-                    let comm =
-                        self.comm.as_ref().expect("overlap engine requires the comm thread");
-                    let group =
-                        self.comm_shard.as_ref().expect("groups registered at construction");
-                    let ops: Vec<OwnedAsyncOp> = (0..first)
-                        .map(|u| {
-                            let mut buf =
-                                comm.pool().take(self.layout.shard_len(u) * self.layout.shard_n);
-                            self.layout.padded_unit(&self.grads, u, &mut buf);
-                            OwnedAsyncOp::ReduceScatter(buf)
-                        })
-                        .collect();
-                    comm.submit_batch_owned(group, ops).into()
-                };
-                let mut next = first;
-                for u in 0..n {
-                    let handle =
-                        pending.pop_front().expect("a reduce was issued for every unit");
-                    let mut rs_out =
-                        self.wait_reduced(handle, self.layout.shard_len(u), corrupt)?;
-                    if self.groups.replica.size() > 1 {
-                        note(
-                            corrupt,
-                            exposed!(self, self.groups.replica.try_all_reduce(&mut rs_out)),
-                        )?;
-                    }
-                    self.owned_grads.extend_from_slice(&rs_out);
-                    if let Some(c) = &self.comm {
-                        c.recycle(rs_out);
-                    }
-                    if next < n {
-                        pending.push_back(self.issue_reduce_scatter(next));
-                        next += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Pipeline all-reduces over `bounds` sub-ranges of `grads` (DDP
-    /// buckets / NO_SHARD units) through the comm thread, waiting in issue
-    /// order. `bounds` must cover `grads` contiguously in order: each
-    /// result lands straight in `owned_grads` (skipping the blocking
-    /// engine's write-back into `grads`, which nothing reads after the
-    /// reduce — `pack_grads` refills it next step).
-    fn pipelined_all_reduce_ranges(
-        &mut self,
-        bounds: &[std::ops::Range<usize>],
-        depth: usize,
-        corrupt: &mut Option<CorruptPayload>,
-    ) -> Result<(), RankLost> {
-        let first = depth.min(bounds.len());
-        let mut pending: VecDeque<CollectiveHandle> = {
-            let comm = self.comm.as_ref().expect("overlap engine requires the comm thread");
-            let group = self.comm_replica.as_ref().expect("groups registered at construction");
-            let ops: Vec<AsyncOp<'_>> =
-                bounds[..first].iter().map(|r| AsyncOp::AllReduce(&self.grads[r.clone()])).collect();
-            comm.submit_batch(group, &ops).into()
-        };
-        let mut next = first;
-        for r in bounds {
-            let handle = pending.pop_front().expect("a reduce was issued for every range");
-            let reduced = self.wait_reduced(handle, r.len(), corrupt)?;
-            self.owned_grads.extend_from_slice(&reduced);
-            if let Some(c) = &self.comm {
-                c.recycle(reduced);
-            }
-            if next < bounds.len() {
-                pending.push_back(self.issue_all_reduce(&bounds[next]));
-                next += 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn issue_all_reduce(&self, r: &std::ops::Range<usize>) -> CollectiveHandle {
-        let comm = self.comm.as_ref().expect("overlap engine requires the comm thread");
-        let group = self.comm_replica.as_ref().expect("groups registered at construction");
-        comm.all_reduce_async(group, &self.grads[r.clone()])
-    }
-
-    fn issue_reduce_scatter(&mut self, u: usize) -> CollectiveHandle {
-        let comm = self.comm.as_ref().expect("overlap engine requires the comm thread");
-        let group = self.comm_shard.as_ref().expect("groups registered at construction");
-        // pad into a pooled buffer and hand it over by value (copy parity
-        // with the blocking engine's `self.padded` scratch)
-        let mut buf = comm.pool().take(self.layout.shard_len(u) * self.layout.shard_n);
-        self.layout.padded_unit(&self.grads, u, &mut buf);
-        comm.reduce_scatter_async_owned(group, buf)
-    }
-
-    /// Wait for an in-flight reduce, charging the blocked time to the
-    /// exposed-comm clock. A corrupt verdict is noted and substituted with
-    /// a zero buffer of the expected length — deterministic on every rank
-    /// of the affected group, and discarded anyway since a corrupt step
-    /// applies no update — so the remaining collective schedule keeps
-    /// running in lockstep, exactly like the blocking path's `note`
-    /// contract.
-    fn wait_reduced(
-        &mut self,
-        handle: CollectiveHandle,
-        expect_len: usize,
-        corrupt: &mut Option<CorruptPayload>,
-    ) -> Result<Vec<f32>, RankLost> {
-        match exposed!(self, handle.wait()) {
-            Ok(v) => {
-                debug_assert_eq!(v.len(), expect_len, "reduce output length mismatch");
-                Ok(v)
-            }
-            Err(CollectiveError::Corrupt(c)) => {
-                corrupt.get_or_insert(c);
-                // the placeholder comes from the pool too — a corrupt step
-                // must not reintroduce allocations on the comm path
-                Ok(match &self.comm {
-                    Some(comm) => comm.pool().take_zeroed(expect_len),
-                    None => vec![0.0; expect_len],
-                })
-            }
-            Err(CollectiveError::Lost(l)) => Err(l),
-        }
     }
 
     /// Run one collective training step. `compute` must zero grads, run
@@ -659,16 +376,11 @@ impl<M: Module> FsdpRank<M> {
 
         let _reduce_phase = phase("fsdp.reduce");
         // 4. reduce gradients — a corrupt verdict is noted, not
-        // short-circuited (see `note`); the blocking and overlapped
-        // engines follow the identical collective schedule
+        // short-circuited (see `note`)
         self.model.pack_grads(&mut self.grads);
         self.owned_grads.clear();
         let mut corrupt: Option<CorruptPayload> = None;
-        if self.comm.is_some() {
-            self.try_reduce_grads_overlapped(&mut corrupt)?;
-        } else {
-            self.try_reduce_grads_blocking(&mut corrupt)?;
-        }
+        self.try_reduce_grads(&mut corrupt)?;
 
         // 5. average over the data-parallel degree
         let inv = 1.0 / self.world as f32;
@@ -719,11 +431,7 @@ impl<M: Module> FsdpRank<M> {
         // 7. sharded optimizer step
         {
             let _p = phase("fsdp.optimizer");
-            self.optimizer.step(
-                Arc::make_mut(&mut self.owned_params).as_mut_slice(),
-                &self.owned_grads,
-                lr,
-            );
+            self.optimizer.step(&mut self.owned_params, &self.owned_grads, lr);
         }
 
         Ok(StepReport { loss, grad_norm, lr })
@@ -754,7 +462,7 @@ impl<M: Module> FsdpRank<M> {
     /// parameter shards and the sharded AdamW state. Exact f32 values — a
     /// restore from this snapshot resumes bit-identically.
     pub fn export_state(&self) -> (Vec<f32>, AdamWState) {
-        ((*self.owned_params).clone(), self.optimizer.export_state())
+        (self.owned_params.clone(), self.optimizer.export_state())
     }
 
     /// Restore state captured by [`FsdpRank::export_state`] on an
@@ -770,7 +478,7 @@ impl<M: Module> FsdpRank<M> {
             self.owned_params.len(),
             "checkpoint shard length does not match this rank's layout"
         );
-        Arc::make_mut(&mut self.owned_params).copy_from_slice(params);
+        self.owned_params.copy_from_slice(params);
         self.optimizer.load_state(state);
     }
 

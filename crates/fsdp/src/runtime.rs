@@ -11,7 +11,7 @@
 //! | step     | `FsdpRank::try_step`: the step's collective schedule      |
 //! | verdict  | [`Guard::verdict`]: exchange, sentinel, rollback-and-skip |
 //! | accept   | health record, [`Guard::snapshot`], [`Checkpointer::after_step`] |
-//! | leave    | `FsdpRank::quiesce_comm` where a rank departs, a spare rejoins or, under elastic resharding, a rank is lost |
+//! | leave    | `FsdpRank::poison_groups` where a rank departs, a spare rejoins or a peer is lost |
 //!
 //! Four ordering laws ride on that order:
 //!
@@ -23,8 +23,8 @@
 //!    the identical fault schedule (the bit-identical-recovery law).
 //! 3. **Guard before checkpoint** — never persist state a pending verdict
 //!    could roll back.
-//! 4. **Checkpoint before drain** — nothing is persisted once comm
-//!    teardown has begun.
+//! 4. **Checkpoint before drain** — nothing is persisted once the rank
+//!    has poisoned its groups.
 //!
 //! Laws 1, 3 and 4 are held by step phase: health and the checkpoint run
 //! only in the accept phase, right after the step's own verdict (a
@@ -297,12 +297,10 @@ impl<'a> FaultInjector<'a> {
             return Err(fail(rank, step, "rank hung in collective".into()));
         }
         if self.plan.take_leave(rank, step) {
-            // permanent departure: poison first so every in-flight
-            // collective terminates fast, then empty this rank's comm
-            // thread before the thread exits
+            // permanent departure: poison so every peer's collective
+            // terminates fast
             count(tel, "fault.rank_leave");
             fr.poison_groups();
-            fr.quiesce_comm();
             return Err(fail(rank, step, crate::trainer::CAUSE_LEAVE.into()));
         }
         if self.elastic_on && self.can_grow && self.plan.take_rejoin(step) {
@@ -310,7 +308,6 @@ impl<'a> FaultInjector<'a> {
             // so the restart loop can re-grow the world
             count(tel, "fault.spare_rejoin");
             fr.poison_groups();
-            fr.quiesce_comm();
             return Err(fail(rank, step, crate::trainer::CAUSE_REJOIN.into()));
         }
         let degraded = self.plan.degraded_slowdown(rank, step);

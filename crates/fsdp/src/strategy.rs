@@ -86,7 +86,8 @@ impl ShardingStrategy {
 
 /// Backward-prefetch policy (§IV-B). Only the Frontier simulator reads it
 /// (`SimConfig::prefetch`), pricing the overlap differences of Figure 2.
-/// The threaded engine's gather window is [`OverlapConfig::prefetch_depth`].
+/// The threaded engine blocks on every collective, so it has no prefetch
+/// window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefetchPolicy {
     /// Request next unit's parameters only after the current unit's
@@ -112,70 +113,17 @@ impl PrefetchPolicy {
     }
 }
 
-/// Comm/compute overlap knobs for the real rank-thread engine.
-///
-/// When enabled, a rank routes its per-unit collectives through a
-/// dedicated [`geofm_collectives::CommThread`] — forward all-gathers are
-/// prefetched `prefetch_depth` units ahead, backward re-gathers likewise,
-/// and gradient reduce-scatters are double-buffered so the next unit's
-/// reduce is in flight while the current unit's replica all-reduce runs on
-/// the compute thread. Numerics are bit-identical either way (the comm
-/// thread executes the exact same collectives in the same order; see
-/// `tests/overlap_equivalence.rs`) — only the exposed-comm fraction of the
-/// step changes, which `overlap.*` telemetry records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverlapConfig {
-    /// Route collectives through the per-rank comm thread.
-    pub enabled: bool,
-    /// In-flight async collectives per phase (≥ 1): unit `u + depth`'s
-    /// all-gather is issued while unit `u`'s result is being consumed.
-    /// Plays the role of §IV-B's `limit_all_gathers` rate limit for the
-    /// real engine.
-    pub prefetch_depth: usize,
-}
-
-impl OverlapConfig {
-    /// Overlap on, with a default prefetch depth of 4. Deeper-than-FSDP's
-    /// default (2) because the batched ring submission makes extra
-    /// in-flight units nearly free, and `bench_overlap` measures depth 4
-    /// as the sweet spot: a wider window smooths the rank-to-rank arrival
-    /// stagger at each collective's rendezvous, while depth 8 overshoots
-    /// (live pooled buffers start thrashing cache).
-    pub fn on() -> Self {
-        Self { enabled: true, prefetch_depth: 4 }
-    }
-
-    /// Fully blocking collectives (the pre-overlap engine).
-    pub fn off() -> Self {
-        Self { enabled: false, prefetch_depth: 2 }
-    }
-}
-
-impl Default for OverlapConfig {
-    fn default() -> Self {
-        Self::off()
-    }
-}
-
 /// Full FSDP configuration for a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FsdpConfig {
     /// Sharding strategy.
     pub strategy: ShardingStrategy,
-    /// Comm/compute overlap for the rank-thread engine.
-    pub overlap: OverlapConfig,
 }
 
 impl FsdpConfig {
-    /// `strategy` with blocking collectives (overlap is opt-in via
-    /// [`FsdpConfig::overlapped`] so perf baselines stay comparable).
+    /// The configuration for `strategy`.
     pub fn tuned(strategy: ShardingStrategy) -> Self {
-        Self { strategy, overlap: OverlapConfig::off() }
-    }
-
-    /// [`FsdpConfig::tuned`] with the comm/compute overlap engine on.
-    pub fn overlapped(strategy: ShardingStrategy) -> Self {
-        Self { overlap: OverlapConfig::on(), ..Self::tuned(strategy) }
+        Self { strategy }
     }
 }
 
@@ -246,20 +194,5 @@ mod tests {
         assert!(ShardingStrategy::Hybrid { shard_size: 2 }.regathers_in_backward());
         assert!(!ShardingStrategy::ShardGradOp.regathers_in_backward());
         assert!(!ShardingStrategy::NoShard.regathers_in_backward());
-    }
-
-    #[test]
-    fn tuned_config_is_blocking() {
-        let c = FsdpConfig::tuned(ShardingStrategy::FullShard);
-        assert!(!c.overlap.enabled, "overlap is opt-in");
-    }
-
-    #[test]
-    fn overlapped_config_enables_the_comm_thread() {
-        let c = FsdpConfig::overlapped(ShardingStrategy::FullShard);
-        assert!(c.overlap.enabled);
-        assert!(c.overlap.prefetch_depth >= 1);
-        // everything else matches the tuned baseline
-        assert_eq!(c.strategy, ShardingStrategy::FullShard);
     }
 }

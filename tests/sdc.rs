@@ -12,13 +12,9 @@
 //!    the recovered loss curve equals the clean-with-skips curve bit for
 //!    bit, NaN placeholders included.
 //!
-//! Odd seeds run the comm/compute overlap engine (collectives on the
-//! per-rank comm thread, reduce-scatters double-buffered — since the
-//! lock-free rework this exercises the SPSC job ring and the recycled
-//! buffer pool), even seeds the blocking engine. A corrupt reduce surfaces from `wait()` with the same
-//! verdict on every rank while the pipeline stays in lockstep, so the
-//! guard's trip/rollback/skip accounting must be identical either way —
-//! the clean comparator runs with the *same* overlap setting.
+//! A corrupt reduce surfaces the same verdict on every rank of its group
+//! while the remaining collective schedule runs in lockstep, so the
+//! guard's trip/rollback/skip accounting is identical on every rank.
 //!
 //! CI runs this suite under a hard timeout with `GEOFM_CHAOS_SEED` pinned.
 
@@ -94,12 +90,11 @@ fn guard(skip_steps: BTreeSet<usize>) -> GuardConfig {
 
 fn run(
     strategy: ShardingStrategy,
-    overlap: bool,
     plan: Arc<FaultPlan>,
     skip_steps: BTreeSet<usize>,
 ) -> Result<DistReport, geofm_resilience::FailureReport> {
     try_run_data_parallel(
-        if overlap { FsdpConfig::overlapped(strategy) } else { FsdpConfig::tuned(strategy) },
+        FsdpConfig::tuned(strategy),
         WORLD,
         0.01,
         STEPS,
@@ -132,9 +127,6 @@ fn bits(v: &[f32]) -> Vec<u32> {
 /// invariants.
 fn sdc_schedule(seed: u64) {
     let strategy = STRATEGIES[(seed as usize) % STRATEGIES.len()];
-    // odd seeds exercise the overlap engine: corruption must surface from
-    // an async wait() with the pipeline still in flight
-    let overlap = seed % 2 == 1;
     let plan = Arc::new(FaultPlan::seeded(seed, WORLD, STEPS, &FaultMix::corruption_only(0.04)));
     // the steps the schedule corrupts — every one must be caught
     let corrupted: BTreeSet<usize> = plan
@@ -147,13 +139,13 @@ fn sdc_schedule(seed: u64) {
         .collect();
 
     let started = Instant::now();
-    let outcome = run(strategy, overlap, Arc::clone(&plan), BTreeSet::new());
+    let outcome = run(strategy, Arc::clone(&plan), BTreeSet::new());
     let elapsed = started.elapsed();
 
     // invariant 2: zero hangs — detection is in-band, nothing may stall
     assert!(
         elapsed < Duration::from_secs(60),
-        "seed {seed} ({}, overlap={overlap}): schedule took {elapsed:?} — hang regression \
+        "seed {seed} ({}): schedule took {elapsed:?} — hang regression \
          (plan: {:?})",
         strategy.name(),
         plan.events()
@@ -161,7 +153,7 @@ fn sdc_schedule(seed: u64) {
 
     let report = outcome.unwrap_or_else(|e| {
         panic!(
-            "seed {seed} ({}, overlap={overlap}): corruption-only schedule must recover, \
+            "seed {seed} ({}): corruption-only schedule must recover, \
              got: {e} (plan: {:?})",
             strategy.name(),
             plan.events()
@@ -176,7 +168,7 @@ fn sdc_schedule(seed: u64) {
     assert_eq!(
         skipped,
         corrupted,
-        "seed {seed} ({}, overlap={overlap}): skipped steps must be exactly the corrupted \
+        "seed {seed} ({}): skipped steps must be exactly the corrupted \
          steps (guard: {gr}, plan: {:?})",
         strategy.name(),
         plan.events()
@@ -184,7 +176,7 @@ fn sdc_schedule(seed: u64) {
     assert_eq!(
         gr.trips,
         corrupted.len(),
-        "seed {seed} ({}, overlap={overlap}): one trip per corrupted step (guard: {gr})",
+        "seed {seed} ({}): one trip per corrupted step (guard: {gr})",
         strategy.name()
     );
     assert_eq!(gr.rollbacks, gr.trips, "seed {seed}: every trip must roll back ({gr})");
@@ -198,12 +190,12 @@ fn sdc_schedule(seed: u64) {
 
     // invariant 3 (and the other half of 1): bit-identical to a clean run
     // with the same skips — an escaped corruption would diverge here
-    let clean = run(strategy, overlap, Arc::new(FaultPlan::none()), corrupted.clone())
+    let clean = run(strategy, Arc::new(FaultPlan::none()), corrupted.clone())
         .expect("clean comparator must succeed");
     assert_eq!(
         bits(&report.final_params),
         bits(&clean.final_params),
-        "seed {seed} ({}, overlap={overlap}): recovered weights diverged from \
+        "seed {seed} ({}): recovered weights diverged from \
          clean-with-skips (plan: {:?})",
         strategy.name(),
         plan.events()
@@ -211,7 +203,7 @@ fn sdc_schedule(seed: u64) {
     assert_eq!(
         bits(&report.mean_losses),
         bits(&clean.mean_losses),
-        "seed {seed} ({}, overlap={overlap}): recovered loss curve diverged (plan: {:?})",
+        "seed {seed} ({}): recovered loss curve diverged (plan: {:?})",
         strategy.name(),
         plan.events()
     );
@@ -253,7 +245,7 @@ fn sdc_seeds_090_119() {
 #[test]
 fn unguarded_corruption_escapes_silently() {
     for (i, strategy) in STRATEGIES.iter().enumerate() {
-        let clean = run(*strategy, false, Arc::new(FaultPlan::none()), BTreeSet::new())
+        let clean = run(*strategy, Arc::new(FaultPlan::none()), BTreeSet::new())
             .expect("clean run");
         let plan = Arc::new(FaultPlan::none().with_bitflip_grad(i % WORLD, 2, 26));
         let corrupted = try_run_data_parallel(

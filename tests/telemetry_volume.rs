@@ -23,6 +23,10 @@
 //!    replica group when replicas exist;
 //! 4. grad-norm exchange: one 1-element all-reduce over the shard group
 //!    when it is larger than one rank.
+//!
+//! The same registry carries each rank's per-step exposed-comm histograms,
+//! `overlap.step.ns` and `overlap.exposed.ns`, from which perfbench
+//! derives `fsdp.exposed_comm_share`; they are pinned here too.
 
 use geofm_collectives::{
     CollectiveKind, HierarchyLayout, ProcessGroups, TrafficCounter, TrafficSnapshot,
@@ -150,7 +154,8 @@ fn scale(s: TrafficSnapshot, by: u64) -> TrafficSnapshot {
 
 /// Run exactly one collective step of `strategy` on `world` rank threads,
 /// recording through a telemetry-backed traffic counter; return the counter
-/// snapshot and the registry's view of the same bytes.
+/// snapshot and the telemetry every rank recorded into (the registry's view
+/// of the same bytes, plus each rank's step timings).
 fn run_one_step(strategy: ShardingStrategy, world: usize) -> (TrafficSnapshot, Arc<Telemetry>) {
     let tel = Telemetry::new();
     let traffic = Arc::new(TrafficCounter::with_registry(tel.metrics.clone()));
@@ -160,10 +165,11 @@ fn run_one_step(strategy: ShardingStrategy, world: usize) -> (TrafficSnapshot, A
     let config = FsdpConfig::tuned(strategy);
     std::thread::scope(|s| {
         for g in groups {
+            let tel = Arc::clone(&tel);
             s.spawn(move || {
                 let rank = g.rank;
                 let (model, units) = Toy::new(42);
-                let mut fr = FsdpRank::new(model, &units, config, g, 0.0);
+                let mut fr = FsdpRank::new(model, &units, config, g, 0.0).with_telemetry(tel);
                 let mut rng = TensorRng::seed_from(1000);
                 let x = rng.randn(&[8, 3], 1.0);
                 let y = rng.randn(&[8, 2], 1.0);
@@ -224,6 +230,25 @@ fn registry_counters_agree_with_traffic_snapshot() {
             .map(|k| snap.counter(&format!("comm.{}.calls", k.name())))
             .sum();
         assert_eq!(calls, expect.calls, "{}", strategy.name());
+        // one step on every rank: one sample per rank in each histogram,
+        // and blocked time never exceeds the step it was measured in
+        let hist = |name: &str| {
+            snap.histograms
+                .get(name)
+                .cloned()
+                .unwrap_or_else(|| panic!("{}: {name} not recorded", strategy.name()))
+        };
+        let step = hist("overlap.step.ns");
+        let exposed = hist("overlap.exposed.ns");
+        assert_eq!(step.count, world as u64, "{}: overlap.step.ns", strategy.name());
+        assert_eq!(exposed.count, world as u64, "{}: overlap.exposed.ns", strategy.name());
+        assert!(
+            exposed.sum <= step.sum,
+            "{}: exposed comm {} ns exceeds step time {} ns",
+            strategy.name(),
+            exposed.sum,
+            step.sum
+        );
     }
 }
 
