@@ -1,11 +1,10 @@
 //! Synthetic-scene generation benchmarks (the "IO" producer of the
-//! reproduction) and loader throughput.
+//! reproduction).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geofm_bench::quick_criterion;
-use geofm_data::{DataLoader, DatasetKind, SceneDataset, SceneRenderer};
+use geofm_data::{DatasetKind, SceneDataset, SceneRenderer};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn bench_render(c: &mut Criterion) {
     let mut group = c.benchmark_group("render_class");
@@ -24,25 +23,9 @@ fn bench_dataset_generation(c: &mut Criterion) {
     });
 }
 
-fn bench_loader(c: &mut Criterion) {
-    let ds = Arc::new(SceneDataset::generate(DatasetKind::Aid, 128, 24, 3, 0, 2));
-    let mut group = c.benchmark_group("loader_epoch");
-    for &workers in &[1usize, 2, 4] {
-        let ds = Arc::clone(&ds);
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, move |b, &w| {
-            let ds = Arc::clone(&ds);
-            b.iter(|| {
-                let loader = DataLoader::new(Arc::clone(&ds), 16, w, 3);
-                black_box(loader.count())
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = bench_render, bench_dataset_generation, bench_loader
+    targets = bench_render, bench_dataset_generation
 }
 criterion_main!(benches);

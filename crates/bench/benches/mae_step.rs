@@ -1,24 +1,33 @@
-//! End-to-end MAE pretraining step benchmarks across the tiny model family
-//! — the reproduction's analogue of the paper's images-per-second baselines
-//! (Table I models measured in §IV).
+//! MAE forward + backward benchmarks across the tiny model family — the
+//! compute of one pretraining step without the engine around it (the
+//! reproduction's analogue of the paper's images-per-second baselines,
+//! Table I models measured in §IV).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geofm_bench::quick_criterion;
-use geofm_mae::{MaeConfig, MaePretrainer};
+use geofm_mae::{MaeConfig, MaeModel, MaskSampler};
+use geofm_nn::Module;
 use geofm_tensor::TensorRng;
 use geofm_vit::VitConfig;
 use std::hint::black_box;
 
 fn bench_mae_family(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mae_pretrain_step");
+    let mut group = c.benchmark_group("mae_fwd_bwd");
     for cfg in VitConfig::tiny_family() {
         let mae = MaeConfig::tiny(cfg.clone());
         let mut rng = TensorRng::seed_from(1);
-        let mut trainer = MaePretrainer::new(&mae, 1e-3, 1000, &mut rng);
+        let mut model = MaeModel::new(&mae, &mut rng);
+        let sampler = MaskSampler::new(cfg.tokens(), mae.mask_ratio);
         let mut data_rng = TensorRng::seed_from(2);
         let imgs = data_rng.randn(&[8, cfg.channels * cfg.img * cfg.img], 1.0);
         group.bench_with_input(BenchmarkId::new("bs8", &cfg.name), &cfg, |b, _| {
-            b.iter(|| black_box(trainer.step(&imgs, &mut data_rng).loss))
+            b.iter(|| {
+                let plan = sampler.sample(8, &mut data_rng);
+                model.zero_grad();
+                let (loss, dpred) = model.forward(&imgs, &plan);
+                model.backward(&dpred);
+                black_box(loss)
+            })
         });
     }
     group.finish();

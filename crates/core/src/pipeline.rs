@@ -1,11 +1,13 @@
 //! The pretrain → probe pipeline.
 
 use crate::recipe::RecipeConfig;
-use geofm_data::{DataLoader, DatasetKind, SceneDataset};
-use geofm_mae::{LinearProbe, MaeConfig, MaePretrainer};
+use geofm_data::{DatasetKind, SceneDataset};
+use geofm_fsdp::{try_run_data_parallel, FsdpConfig, ResilienceConfig, ShardingStrategy};
+use geofm_mae::{LinearProbe, MaeConfig, MaeModel, MaskSampler};
+use geofm_nn::{clip_grad_norm, CosineSchedule, Module};
 use geofm_tensor::TensorRng;
 use geofm_vit::{VitConfig, VitModel};
-use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Result of pretraining one encoder.
 pub struct PretrainOutcome {
@@ -17,48 +19,99 @@ pub struct PretrainOutcome {
     pub eval_curve: Vec<(usize, f32)>,
 }
 
-/// MAE-pretrain `cfg` on synthetic MillionAID under the recipe.
+/// MAE-pretrain `cfg` on synthetic MillionAID under the recipe (paper
+/// §V-B: AdamW with weight decay 0.05, cosine schedule with 5 % warmup to
+/// `rc.pretrain_lr` and a floor of 1 % of it, 75 % masking), through the
+/// FSDP engine at world 1 (NO_SHARD), so the kernels run on the rank's
+/// pool of all the machine's cores.
 pub fn pretrain(cfg: &VitConfig, rc: &RecipeConfig) -> PretrainOutcome {
     let mae_cfg = MaeConfig::tiny(cfg.clone());
-    let mut rng = TensorRng::seed_from(rc.seed);
-    let mut trainer = MaePretrainer::new(&mae_cfg, rc.pretrain_lr, rc.pretrain_steps(), &mut rng);
+    let make_model = || MaeModel::new(&mae_cfg, &mut TensorRng::seed_from(rc.seed));
+    let (n, b) = (rc.pretrain_images, rc.batch);
+    let per_epoch = n / b;
+    let total = rc.pretrain_steps();
+    let warmup = (total / 20).max(1).min(total);
+    let schedule = CosineSchedule::new(rc.pretrain_lr, rc.pretrain_lr * 0.01, warmup, total);
+    let sampler = MaskSampler::new(cfg.tokens(), mae_cfg.mask_ratio);
 
-    // fixed eval batch (disjoint offset) for comparable loss curves
-    let eval = SceneDataset::generate(DatasetKind::MillionAid, rc.batch.max(16), cfg.img, cfg.channels, 9_000_000, 23);
+    // fixed eval batch (disjoint offset) and fixed mask, for loss curves
+    // comparable across models
+    let eval = SceneDataset::generate(DatasetKind::MillionAid, b.max(16), cfg.img, cfg.channels, 9_000_000, 23);
+    let eval_loss = |model: &mut MaeModel| {
+        let plan = sampler.sample(eval.len(), &mut TensorRng::seed_from(4242));
+        model.forward(&eval.images, &plan).0
+    };
 
-    let mut data_rng = TensorRng::seed_from(rc.seed ^ 0xDA7A);
-    let mut loss_curve = Vec::new();
-    let mut eval_curve = Vec::new();
-    let mut step = 0usize;
-    for epoch in 0..rc.pretrain_epochs {
-        // Each epoch streams a FRESH slice of the synthetic corpus: the
-        // paper's 990 848-image MillionAID never repeats within our scaled
-        // step budget, so neither do we (the generator is the dataset).
-        let corpus = Arc::new(SceneDataset::generate(
-            DatasetKind::MillionAid,
-            rc.pretrain_images,
-            cfg.img,
-            cfg.channels,
-            2_000_000 + (epoch * rc.pretrain_images) as u64,
-            17,
-        ));
-        let loader = DataLoader::new(
-            Arc::clone(&corpus),
-            rc.batch,
-            rc.loader_workers,
-            rc.seed.wrapping_add(epoch as u64),
-        );
-        for (images, _labels) in loader {
-            let stats = trainer.step(&images, &mut data_rng);
-            if step.is_multiple_of(4) {
-                loss_curve.push((step, stats.loss));
+    // Each epoch streams a FRESH slice of the synthetic corpus: the paper's
+    // 990 848-image MillionAID never repeats within our scaled step budget,
+    // so neither do we (the generator is the dataset). One slot holds the
+    // current epoch's corpus and its shuffle.
+    let epoch_data: Mutex<Option<(usize, SceneDataset, Vec<usize>)>> = Mutex::new(None);
+    let mask_rng = Mutex::new(TensorRng::seed_from(rc.seed ^ 0xDA7A));
+    let eval_curve = Mutex::new(Vec::with_capacity(rc.pretrain_epochs));
+
+    // At world 1 every collective returns early, so the engine's AdamW
+    // step over the flat parameters is a plain single-process update
+    // (`tests/end_to_end.rs` holds the two to the bit).
+    let report = try_run_data_parallel(
+        FsdpConfig::tuned(ShardingStrategy::NoShard),
+        1,
+        0.05,
+        per_epoch * rc.pretrain_epochs,
+        |_rank| {
+            let mut model = make_model();
+            // one FSDP unit per encoder unit + one for the whole decoder
+            let mut units = model.encoder.unit_param_counts();
+            units.push(model.num_params() - units.iter().sum::<usize>());
+            (model, units)
+        },
+        |model, _rank, step| {
+            let (epoch, i) = (step / per_epoch, step % per_epoch);
+            if i == 0 && epoch > 0 {
+                // the engine has just gathered the parameters after the
+                // previous epoch's last update
+                eval_curve.lock().unwrap().push((epoch - 1, eval_loss(model)));
             }
-            step += 1;
-        }
-        eval_curve.push((epoch, trainer.eval_loss(&eval.images, 4242)));
-    }
+            let images = {
+                let mut slot = epoch_data.lock().unwrap();
+                if slot.as_ref().is_none_or(|(e, ..)| *e != epoch) {
+                    let corpus = SceneDataset::generate(
+                        DatasetKind::MillionAid,
+                        n,
+                        cfg.img,
+                        cfg.channels,
+                        2_000_000 + (epoch * n) as u64,
+                        17,
+                    );
+                    let order = TensorRng::seed_from(rc.seed.wrapping_add(epoch as u64)).permutation(n);
+                    *slot = Some((epoch, corpus, order));
+                }
+                let (_, corpus, order) = slot.as_ref().expect("filled above");
+                corpus.batch(&order[i * b..(i + 1) * b]).0
+            };
+            let plan = sampler.sample(b, &mut mask_rng.lock().unwrap());
+            model.zero_grad();
+            let (loss, dpred) = model.forward(&images, &plan);
+            model.backward(&dpred);
+            // at world 1 the local gradient is the global one
+            clip_grad_norm(model, 5.0);
+            loss
+        },
+        |step| schedule.lr(step),
+        None,
+        ResilienceConfig::disabled(),
+    )
+    .unwrap_or_else(|failure| panic!("pretraining {} failed: {failure}", cfg.name));
 
-    PretrainOutcome { encoder: trainer.model.encoder, loss_curve, eval_curve }
+    let mut model = make_model();
+    model.unpack_values(&report.final_params);
+    let mut eval_curve = eval_curve.into_inner().unwrap();
+    // the last epoch's eval (every epoch's, if an epoch has no full batch)
+    while eval_curve.len() < rc.pretrain_epochs {
+        eval_curve.push((eval_curve.len(), eval_loss(&mut model)));
+    }
+    let loss_curve = report.mean_losses.iter().copied().enumerate().step_by(4).collect();
+    PretrainOutcome { encoder: model.encoder, loss_curve, eval_curve }
 }
 
 /// One point of the probe learning curve.

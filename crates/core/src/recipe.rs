@@ -27,8 +27,6 @@ pub struct RecipeConfig {
     pub max_test: usize,
     /// Master seed.
     pub seed: u64,
-    /// Loader workers (paper: 4 per rank).
-    pub loader_workers: usize,
 }
 
 impl Default for RecipeConfig {
@@ -44,7 +42,6 @@ impl Default for RecipeConfig {
             probe_scale: 0.15,
             max_test: 1000,
             seed: 42,
-            loader_workers: 2,
         }
     }
 }

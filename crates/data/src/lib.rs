@@ -1,6 +1,7 @@
 //! # geofm-data
 //!
-//! Synthetic remote-sensing scene datasets and a multi-worker data loader.
+//! Synthetic remote-sensing scene datasets and a fault-tolerant streaming
+//! ingest plane.
 //!
 //! The paper pretrains on MillionAID (990 848 optical scenes, 51 classes)
 //! and probes on UCM (21), AID (30) and NWPU-RESISC45 (45). Those archives
@@ -17,25 +18,19 @@
 //! at extracting. That mechanism — not the specific imagery — is what
 //! Table III measures.
 //!
-//! The [`loader::DataLoader`] mirrors the PyTorch dataloader the paper uses
-//! (4 worker processes per rank): worker threads assemble batches in the
-//! background and hand them over a bounded channel.
-//!
-//! On top of that sits the **fault-tolerant streaming ingest plane**:
+//! The **fault-tolerant streaming ingest plane** serves them from disk:
 //! [`shard`] defines the CRC-checked `GEOFMSH1` on-disk shard format,
 //! [`store`] abstracts shard access behind a [`store::ShardStore`] trait
 //! (real files or a fault-injectable simulation), and [`stream`] serves
 //! verified, hedged, quarantine-aware batches to FSDP ranks.
 
 pub mod datasets;
-pub mod loader;
 pub mod scene;
 pub mod shard;
 pub mod store;
 pub mod stream;
 
 pub use datasets::{DatasetKind, SceneDataset, SplitSizes};
-pub use loader::DataLoader;
 pub use scene::{ClassSpec, SceneRenderer};
 pub use shard::{build_corpus, CorpusManifest, RawRecord, ShardError, ShardHeader, ShardReader};
 pub use store::{FsShardStore, ReadError, ShardStore, SimShardStore, StoreMeta};

@@ -520,7 +520,7 @@ impl StreamingLoader {
 impl Drop for StreamingLoader {
     fn drop(&mut self) {
         // disconnect so a worker blocked on the full channel unblocks,
-        // then join — same discipline as DataLoader
+        // then join
         while self.rx.try_recv().is_ok() {}
         drop(std::mem::replace(&mut self.rx, bounded(1).1));
         if let Some(w) = self.worker.take() {

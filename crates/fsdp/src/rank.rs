@@ -103,7 +103,6 @@ pub struct FsdpRank<M: Module> {
     /// Offsets of each unit's shard within `owned_params`.
     shard_offsets: Vec<usize>,
     optimizer: AdamW,
-    grad_clip: Option<f32>,
     /// Optional shared telemetry: phase timings land in histograms
     /// `fsdp.<phase>.ns` and as trace spans on thread track = global rank.
     telemetry: Option<Arc<Telemetry>>,
@@ -172,7 +171,6 @@ impl<M: Module> FsdpRank<M> {
             owned_params,
             shard_offsets,
             optimizer,
-            grad_clip: None,
             telemetry: None,
             exposed_ns: 0,
             flat,
@@ -182,14 +180,6 @@ impl<M: Module> FsdpRank<M> {
             rs_out: Vec::new(),
             owned_grads: Vec::new(),
         }
-    }
-
-    /// Enable global gradient-norm clipping (same semantics on every
-    /// strategy — the norm is computed globally, so clipping preserves
-    /// cross-strategy equivalence).
-    pub fn with_grad_clip(mut self, max_norm: f32) -> Self {
-        self.grad_clip = Some(max_norm);
-        self
     }
 
     /// Record per-step phase timings (gather / compute / regather / reduce /
@@ -415,15 +405,6 @@ impl<M: Module> FsdpRank<M> {
             // full collective schedule completed; parameters and optimizer
             // untouched — surface the agreed verdict for rollback-and-skip
             return Err(StepError::Corrupt(c));
-        }
-
-        if let Some(max) = self.grad_clip {
-            if grad_norm > max && grad_norm > 0.0 {
-                let scale = max / grad_norm;
-                for g in &mut self.owned_grads {
-                    *g *= scale;
-                }
-            }
         }
 
         drop(_reduce_phase);

@@ -1,14 +1,13 @@
 //! # geofm-mae
 //!
-//! Masked-autoencoder pretraining and linear-probe evaluation — the paper's
-//! §V pipeline.
+//! The masked autoencoder and linear-probe evaluation of the paper's §V
+//! pipeline. Pretraining has one loop, the FSDP engine's (`geofm-fsdp`);
+//! `geofm-core`'s `pretrain` drives it with the paper's recipe.
 //!
 //! * [`MaeModel`] — ViT encoder on **visible tokens only** + lightweight
 //!   transformer decoder reconstructing the masked patches (He et al. 2022,
 //!   the architecture the paper pretrains).
 //! * [`MaskSampler`] — per-sample random 75 % masking.
-//! * [`MaePretrainer`] — AdamW + cosine schedule training loop (base lr
-//!   1.5e-4, wd 0.05, mask 75 % per paper §V-B).
 //! * [`LinearProbe`] — frozen-encoder linear classification with LARS
 //!   (base lr 0.1, no weight decay, per paper §V-C), reporting top-1/top-5.
 
@@ -16,7 +15,6 @@ pub mod fewshot;
 pub mod finetune;
 pub mod mask;
 pub mod model;
-pub mod pretrain;
 pub mod probe;
 pub mod segmentation;
 
@@ -24,6 +22,5 @@ pub use fewshot::{few_shot_eval, FewShotResult};
 pub use finetune::FineTuner;
 pub use mask::{MaskPlan, MaskSampler};
 pub use model::{MaeConfig, MaeModel};
-pub use pretrain::{MaePretrainer, PretrainStats};
 pub use probe::{paper_lr, LinearProbe, ProbeEpochStats};
 pub use segmentation::{patch_labels, SegMetrics, SegProbe};

@@ -72,8 +72,6 @@ pub struct TransformerBlock {
     /// Feed-forward network.
     pub mlp: Mlp,
     width: usize,
-    /// Input saved by [`TransformerBlock::forward_checkpointed`].
-    ckpt_input: Option<Tensor>,
 }
 
 impl TransformerBlock {
@@ -85,7 +83,6 @@ impl TransformerBlock {
             ln2: LayerNorm::new(width, &format!("{name}.ln2")),
             mlp: Mlp::new(width, mlp_width, rng, &format!("{name}.mlp")),
             width,
-            ckpt_input: None,
         }
     }
 
@@ -120,27 +117,6 @@ impl TransformerBlock {
         let mut y = h;
         y.add_assign(&mlp_out);
         y
-    }
-
-    /// Activation-checkpointed forward: saves only the block *input* and
-    /// runs a cache-free forward. The backward pass recomputes the forward
-    /// to rebuild activations (rematerialization) — the memory/compute
-    /// trade the paper's ViT-3B-in-64 GB configuration relies on, at the
-    /// cost of one extra forward per block in backward.
-    pub fn forward_checkpointed(&mut self, x: &Tensor) -> Tensor {
-        self.ckpt_input = Some(x.clone());
-        self.forward_inference(x)
-    }
-
-    /// Backward counterpart of [`TransformerBlock::forward_checkpointed`]:
-    /// recompute, then backpropagate.
-    pub fn backward_checkpointed(&mut self, dy: &Tensor) -> Tensor {
-        let x = self
-            .ckpt_input
-            .take()
-            .expect("backward_checkpointed before forward_checkpointed");
-        let _ = self.forward(&x); // rebuild caches
-        self.backward(dy)
     }
 
     /// Backward; returns `dx: [b, t, width]`.
@@ -256,37 +232,6 @@ mod tests {
             + 2 * w // ln2
             + (w * m + m) + (m * w + w); // mlp
         assert_eq!(blk.num_params(), expect);
-    }
-
-    #[test]
-    fn checkpointed_path_matches_regular_gradients() {
-        let mut rng = TensorRng::seed_from(15);
-        let x = rng.randn(&[2, 3, 8], 1.0);
-        let dy = rng.randn(&[2, 3, 8], 1.0);
-
-        let mut regular = TransformerBlock::new(8, 16, 2, &mut rng, "t");
-        let mut ckpt = regular.clone();
-
-        let y1 = regular.forward(&x);
-        let dx1 = regular.backward(&dy);
-        let y2 = ckpt.forward_checkpointed(&x);
-        let dx2 = ckpt.backward_checkpointed(&dy);
-
-        assert!(y1.max_abs_diff(&y2) < 1e-5, "outputs must match");
-        assert!(dx1.max_abs_diff(&dx2) < 1e-5, "input grads must match");
-        let (mut g1, mut g2) = (Vec::new(), Vec::new());
-        regular.pack_grads(&mut g1);
-        ckpt.pack_grads(&mut g2);
-        let max = g1.iter().zip(&g2).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-        assert!(max < 1e-5, "param grads must match (max diff {})", max);
-    }
-
-    #[test]
-    #[should_panic(expected = "before forward_checkpointed")]
-    fn checkpointed_backward_requires_forward() {
-        let mut rng = TensorRng::seed_from(16);
-        let mut blk = TransformerBlock::new(8, 16, 2, &mut rng, "t");
-        let _ = blk.backward_checkpointed(&Tensor::zeros(&[1, 2, 8]));
     }
 
     #[test]

@@ -285,15 +285,25 @@ impl Optimizer for Lars {
     }
 }
 
-/// Scale `grad` in place so its global L2 norm is at most `max_norm`;
-/// returns the pre-clip norm. This is the standard pre-optimizer clip.
-pub fn clip_grad_norm(grad: &mut [f32], max_norm: f32) -> f32 {
-    let norm = grad.iter().map(|g| (*g as f64) * (*g as f64)).sum::<f64>().sqrt() as f32;
+/// Scale `module`'s gradients in place so their global L2 norm is at most
+/// `max_norm`; returns the pre-clip norm. This is the standard
+/// pre-optimizer clip. The sum of squares runs in f64 over the gradients
+/// in visit order, so the result equals a clip of the packed flat gradient.
+pub fn clip_grad_norm(module: &mut dyn Module, max_norm: f32) -> f32 {
+    let mut sumsq = 0.0f64;
+    module.visit_params(&mut |p| {
+        for &g in p.grad.data() {
+            sumsq += (g as f64) * (g as f64);
+        }
+    });
+    let norm = sumsq.sqrt() as f32;
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
-        for g in grad.iter_mut() {
-            *g *= scale;
-        }
+        module.visit_params(&mut |p| {
+            for g in p.grad.data_mut() {
+                *g *= scale;
+            }
+        });
     }
     norm
 }
@@ -438,20 +448,37 @@ mod tests {
         let _ = Lars::new(vec![Segment { start: 1, len: 2, decay: true }], 0.0);
     }
 
+    /// A module of one parameter holding the gradient `grad`.
+    struct Grad(crate::param::Param);
+
+    impl Module for Grad {
+        fn visit_params(&mut self, f: &mut crate::param::ParamVisitor) {
+            f(&mut self.0);
+        }
+    }
+
+    fn with_grad(grad: &[f32]) -> Grad {
+        let value = geofm_tensor::Tensor::zeros(&[grad.len()]);
+        let mut p = crate::param::Param::new(value, true, "g");
+        p.grad.data_mut().copy_from_slice(grad);
+        Grad(p)
+    }
+
     #[test]
     fn clip_grad_norm_caps_norm() {
-        let mut g = vec![3.0f32, 4.0]; // norm 5
-        let pre = clip_grad_norm(&mut g, 1.0);
+        let mut m = with_grad(&[3.0, 4.0]); // norm 5
+        let pre = clip_grad_norm(&mut m, 1.0);
         assert!((pre - 5.0).abs() < 1e-5);
+        let g = m.0.grad.data();
         let post = (g[0] * g[0] + g[1] * g[1]).sqrt();
         assert!((post - 1.0).abs() < 1e-5);
     }
 
     #[test]
     fn clip_grad_norm_noop_below_threshold() {
-        let mut g = vec![0.3f32, 0.4];
-        clip_grad_norm(&mut g, 1.0);
-        assert_eq!(g, vec![0.3, 0.4]);
+        let mut m = with_grad(&[0.3, 0.4]);
+        clip_grad_norm(&mut m, 1.0);
+        assert_eq!(m.0.grad.data(), &[0.3, 0.4]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Figure 5: MAE pretraining loss vs steps for the (scaled) model family —
 //! larger models reach lower loss.
 
-use geofm_core::{pretrain_cached, RecipeConfig};
+use geofm_core::{pretrain, RecipeConfig};
 use geofm_repro::write_csv;
 use geofm_vit::VitConfig;
 
@@ -15,7 +15,7 @@ fn main() {
     let mut finals = Vec::new();
     for cfg in VitConfig::tiny_family() {
         let t0 = std::time::Instant::now();
-        let out = pretrain_cached(&cfg, &rc);
+        let out = pretrain(&cfg, &rc);
         for &(step, loss) in &out.loss_curve {
             rows.push(format!("{},{},{:.6}", cfg.name, step, loss));
         }

@@ -2,7 +2,7 @@
 //! for every (model, dataset) pair; the final-epoch top-1 values are the
 //! Table III reproduction.
 
-use geofm_core::{pretrain_cached, probe_dataset, RecipeConfig};
+use geofm_core::{pretrain, probe_dataset, RecipeConfig};
 use geofm_data::DatasetKind;
 use geofm_repro::write_csv;
 use geofm_vit::VitConfig;
@@ -22,7 +22,7 @@ fn main() {
 
     for cfg in VitConfig::tiny_family() {
         let t0 = std::time::Instant::now();
-        let out = pretrain_cached(&cfg, &rc);
+        let out = pretrain(&cfg, &rc);
         println!("  pretrained {:<8} in {:.0?}", cfg.name, t0.elapsed());
         let mut per_ds = Vec::new();
         for kind in DatasetKind::all() {

@@ -27,8 +27,8 @@
 //! resumes its loss curve from it. Every failure is a structured
 //! [`CkptError`] so callers (and the corruption test suite) can distinguish
 //! truncation from bit rot from a stale format version. A file in an older
-//! workspace format (the retired per-rank step checkpoint, or
-//! `geofm-core`'s `GEOFMCK2` encoder cache) is reported as
+//! workspace format (the retired per-rank step checkpoint, or the retired
+//! `GEOFMCK2` encoder cache) is reported as
 //! [`CkptError::LegacyFormat`] rather than a generic bad-magic error, so
 //! upgrade paths can be explicit.
 

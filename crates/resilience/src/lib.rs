@@ -14,8 +14,8 @@
 //! * [`ElasticCheckpoint`] — the trainer's one checkpoint format
 //!   (`GEOFMCK3`, global state readable at any world size), written
 //!   tmp-file → fsync → rename with a CRC32 footer so a torn write can
-//!   never be loaded. [`atomic_write`] and [`crc32`] are exported for
-//!   other formats (`geofm-core` uses them for its encoder cache).
+//!   never be loaded. [`crc32`] and its streaming form
+//!   [`crc32_update`] are exported for the other integrity checks.
 //! * [`mtbf`] — per-node exponential failure model, restart/rework cost
 //!   accounting ([`simulate_campaign`]) and the analytic Young/Daly optimal
 //!   checkpoint interval — the machinery behind the `figR` repro binary's
@@ -32,10 +32,8 @@
 //!   failure types do: both the data plane and the trainer must see it.
 //!
 //! [`crc32`] is the workspace's one table-driven CRC32 implementation,
-//! shared by the training checkpoints here, the encoder checkpoints in
-//! `geofm-core`, and the checksummed collectives in `geofm-collectives`.
-//! (It lives here rather than in `geofm-core` because `geofm-core` sits at
-//! the top of the crate graph — hosting it there would cycle.)
+//! shared by the training checkpoints here, the `GEOFMSH1` shards in
+//! `geofm-data`, and the checksummed collectives in `geofm-collectives`.
 
 #![warn(missing_docs)]
 

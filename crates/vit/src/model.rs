@@ -80,32 +80,6 @@ impl VitModel {
         self.final_ln.forward_inference(&flat).reshape(&[b, t, w])
     }
 
-    /// Activation-checkpointed encoding: each block stores only its input
-    /// and recomputes activations during backward (rematerialization).
-    /// Peak activation memory drops from O(depth · per-block-activations)
-    /// to O(depth · token-buffer) — the trade the paper's 64 GB-per-GPU
-    /// memory budget relies on (see `geofm-frontier`'s memory model).
-    pub fn encode_tokens_checkpointed(&mut self, tokens: &Tensor) -> Tensor {
-        let mut x = tokens.clone();
-        for blk in &mut self.blocks {
-            x = blk.forward_checkpointed(&x);
-        }
-        let (b, t, w) = (x.dim(0), x.dim(1), x.dim(2));
-        let flat = x.reshape(&[b * t, w]);
-        self.final_ln.forward(&flat).reshape(&[b, t, w])
-    }
-
-    /// Backward counterpart of [`VitModel::encode_tokens_checkpointed`].
-    pub fn backward_tokens_checkpointed(&mut self, dy: &Tensor) -> Tensor {
-        let (b, t, w) = (dy.dim(0), dy.dim(1), dy.dim(2));
-        let flat = dy.clone().reshape(&[b * t, w]);
-        let mut dx = self.final_ln.backward(&flat).reshape(&[b, t, w]);
-        for blk in self.blocks.iter_mut().rev() {
-            dx = blk.backward_checkpointed(&dx);
-        }
-        dx
-    }
-
     /// Backward through final LN and blocks; returns gradient w.r.t. the
     /// token sequence passed to [`VitModel::encode_tokens`].
     pub fn backward_tokens(&mut self, dy: &Tensor) -> Tensor {
@@ -338,28 +312,6 @@ mod tests {
         model.unpack_values(&flat);
         let after = loss_of(&mut model);
         assert!(after < before, "loss should decrease: {} -> {}", before, after);
-    }
-
-    #[test]
-    fn checkpointed_encoding_matches_regular() {
-        let cfg = tiny();
-        let mut rng = TensorRng::seed_from(31);
-        let mut regular = VitModel::new(&cfg, &mut rng);
-        let mut ckpt = regular.clone();
-        let tokens = rng.randn(&[2, cfg.tokens(), cfg.width], 1.0);
-        let dy = rng.randn(&[2, cfg.tokens(), cfg.width], 1.0);
-
-        let y1 = regular.encode_tokens(&tokens);
-        let d1 = regular.backward_tokens(&dy);
-        let y2 = ckpt.encode_tokens_checkpointed(&tokens);
-        let d2 = ckpt.backward_tokens_checkpointed(&dy);
-        assert!(y1.max_abs_diff(&y2) < 1e-5);
-        assert!(d1.max_abs_diff(&d2) < 1e-5);
-        let (mut g1, mut g2) = (Vec::new(), Vec::new());
-        regular.pack_grads(&mut g1);
-        ckpt.pack_grads(&mut g2);
-        let max = g1.iter().zip(&g2).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-        assert!(max < 1e-5, "param grads diff {}", max);
     }
 
     #[test]

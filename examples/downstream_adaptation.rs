@@ -6,7 +6,7 @@
 //! cargo run --release --example downstream_adaptation
 //! ```
 
-use geofm::core::{pretrain_cached, RecipeConfig};
+use geofm::core::{pretrain, RecipeConfig};
 use geofm::data::{DatasetKind, SceneDataset, SceneRenderer};
 use geofm::mae::{few_shot_eval, patch_labels, FineTuner, LinearProbe, SegProbe};
 use geofm::tensor::{Tensor, TensorRng};
@@ -20,7 +20,7 @@ fn main() {
     };
     let cfg = &VitConfig::tiny_family()[1]; // T-Huge
     println!("pretraining {} ({} params)...", cfg.name, cfg.param_count());
-    let out = pretrain_cached(cfg, &rc);
+    let out = pretrain(cfg, &rc);
 
     // a small UCM-syn task
     let (train, test) = SceneDataset::probe_split(DatasetKind::Ucm, 0.25, cfg.img, cfg.channels);

@@ -13,11 +13,13 @@
 //! * [`nn`] — layers with explicit backward, optimizers (AdamW/LARS/SGD)
 //! * [`vit`] — ViT configurations (paper Table I) and the encoder model
 //! * [`mae`] — masked-autoencoder pretraining and linear probing
-//! * [`data`] — synthetic MillionAID/UCM/AID/NWPU scene datasets + loader
+//! * [`data`] — synthetic MillionAID/UCM/AID/NWPU scene datasets + the
+//!   streaming ingest plane
 //! * [`collectives`] — threaded process groups (all-reduce/-gather/…)
 //! * [`fsdp`] — NO_SHARD / FULL_SHARD / SHARD_GRAD_OP / HYBRID / DDP
 //! * [`frontier`] — the Frontier machine model and simulator
-//! * [`core`] — the end-to-end pretrain → linear-probe recipe
+//! * [`core`] — the end-to-end pretrain → linear-probe recipe, pretraining
+//!   through the FSDP engine
 //! * [`telemetry`] — metrics registry + Chrome-trace span recorder
 //! * [`resilience`] — fault plans, crash-safe checkpoint format, MTBF /
 //!   Young-Daly goodput modeling

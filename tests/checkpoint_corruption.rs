@@ -1,26 +1,20 @@
 //! Corrupted-checkpoint suite: every malformed on-disk artifact must be
 //! *rejected*, never trusted and never a panic.
 //!
-//! Covers both checkpoint formats in the workspace:
-//!
-//! * the encoder-level pretraining cache (`geofm_core::checkpoint`,
-//!   `GEOFMCK2` magic) via its explicit-directory API, and
-//! * the trainer's world-size-independent checkpoint (`GEOFMCK3`), abused
-//!   end-to-end: the file under test is written by the *trainer*, and the
-//!   reader must map truncation / bit rot / legacy magics / layout
-//!   mismatch each to its own structured [`CkptError`] — `Option`-style
-//!   silent `None`s are not acceptable here, because the resharding
-//!   trainer branches on the *kind* of rejection. (The parser's unit tests
-//!   in `geofm-resilience` truncate and bit-flip its image at **every**
-//!   byte; `crates/resilience/tests/proptests.rs` fuzzes it.)
+//! Covers the workspace's one checkpoint format, the trainer's
+//! world-size-independent `GEOFMCK3`, abused end-to-end: the file under
+//! test is written by the *trainer*, and the reader must map truncation /
+//! bit rot / legacy magics / layout mismatch each to its own structured
+//! [`CkptError`] — `Option`-style silent `None`s are not acceptable here,
+//! because the resharding trainer branches on the *kind* of rejection.
+//! (The parser's unit tests in `geofm-resilience` truncate and bit-flip its
+//! image at **every** byte; `crates/resilience/tests/proptests.rs` fuzzes
+//! it.)
 
-use geofm_core::checkpoint::{load_in, save_in};
-use geofm_core::{pretrain, RecipeConfig};
 use geofm_fsdp::{try_run_elastic, DistReport, ElasticConfig, FsdpConfig, ResilienceConfig};
 use geofm_nn::{Linear, Module, ParamVisitor};
 use geofm_resilience::{CkptError, ElasticCheckpoint, FailureReport};
 use geofm_tensor::{Tensor, TensorRng};
-use geofm_vit::VitConfig;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -28,96 +22,19 @@ fn test_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("geofm-ws-ckpt-{tag}-{}", std::process::id()))
 }
 
-fn tiny_recipe() -> RecipeConfig {
-    RecipeConfig {
-        pretrain_images: 64,
-        pretrain_epochs: 1,
-        probe_epochs: 1,
-        probe_scale: 0.02,
-        max_test: 20,
-        ..RecipeConfig::default()
-    }
-}
-
-/// The single `.ckpt` file written under `dir` by `save_in`.
-fn ckpt_file(dir: &std::path::Path) -> PathBuf {
-    let d = dir.join("checkpoints");
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&d)
-        .expect("checkpoint dir exists")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "ckpt"))
-        .collect();
-    assert_eq!(files.len(), 1, "expected exactly one checkpoint in {}", d.display());
-    files.pop().unwrap()
-}
-
-#[test]
-fn encoder_checkpoint_rejects_every_corruption() {
-    let dir = test_dir("encoder");
-    let rc = tiny_recipe();
-    let cfg = VitConfig::tiny_family()[0].clone();
-    let mut out = pretrain(&cfg, &rc);
-    save_in(&dir, &cfg, &rc, &mut out).expect("save must succeed");
-    assert!(load_in(&dir, &cfg, &rc).is_some(), "pristine checkpoint must load");
-
-    let path = ckpt_file(&dir);
-    let good = std::fs::read(&path).unwrap();
-
-    // Truncation: every structural boundary plus a byte-stride sweep
-    // through the payload (the file is too large to cut at every offset).
-    let mut cuts = vec![0, 1, 7, 8, 9, 15, 16, 17, good.len() - 5, good.len() - 4, good.len() - 1];
-    cuts.extend((0..good.len()).step_by(97));
-    for cut in cuts {
-        std::fs::write(&path, &good[..cut]).unwrap();
-        assert!(load_in(&dir, &cfg, &rc).is_none(), "truncation at {cut} must be rejected");
-    }
-
-    // Bit flips: header, length field, payload interior, CRC footer.
-    for &(offset, bit) in
-        &[(0usize, 0u8), (3, 7), (8, 0), (12, 4), (20, 1), (good.len() / 2, 3), (good.len() - 2, 6)]
-    {
-        let mut bad = good.clone();
-        bad[offset] ^= 1 << bit;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(
-            load_in(&dir, &cfg, &rc).is_none(),
-            "bit flip at byte {offset} bit {bit} must be rejected"
-        );
-    }
-
-    // Stale magic from a previous format version.
-    let mut stale = good.clone();
-    stale[..8].copy_from_slice(b"GEOFMCK1");
-    std::fs::write(&path, &stale).unwrap();
-    assert!(load_in(&dir, &cfg, &rc).is_none(), "stale magic must be rejected");
-
-    // Appended garbage (length field no longer matches the file).
-    let mut long = good.clone();
-    long.extend_from_slice(&[0xAB; 16]);
-    std::fs::write(&path, &long).unwrap();
-    assert!(load_in(&dir, &cfg, &rc).is_none(), "trailing garbage must be rejected");
-
-    // A key mismatch (different recipe) must miss even on a pristine file.
-    std::fs::write(&path, &good).unwrap();
-    let other_rc = RecipeConfig { pretrain_epochs: 2, ..tiny_recipe() };
-    assert!(load_in(&dir, &cfg, &other_rc).is_none(), "mismatched key must miss");
-
-    // And after all that abuse, the restored-good file still loads.
-    assert!(load_in(&dir, &cfg, &rc).is_some(), "restored checkpoint must load again");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn both_checkpoint_formats_share_the_canonical_crc32() {
-    // One table-driven CRC32 for the whole workspace: implemented in
-    // geofm-resilience, re-exported by geofm-core, reused by the collective
-    // payload checksums. The two re-exports must be the same function, and
-    // the streaming form must agree with the one-shot digest.
+    // One table-driven CRC32 for the whole workspace, implemented in
+    // geofm-resilience and reused by the GEOFMCK3 footer, the GEOFMSH1
+    // shard records and the collective payload checksums. The streaming
+    // form must agree with the one-shot digest.
     let payload = b"geofm shared integrity primitive";
-    assert_eq!(geofm_core::crc32(payload), geofm_resilience::crc32(payload));
     let mid = payload.len() / 2;
-    let partial = geofm_core::crc32_update(0xFFFF_FFFF, &payload[..mid]);
-    assert_eq!(!geofm_core::crc32_update(partial, &payload[mid..]), geofm_core::crc32(payload));
+    let partial = geofm_resilience::crc32_update(0xFFFF_FFFF, &payload[..mid]);
+    assert_eq!(
+        !geofm_resilience::crc32_update(partial, &payload[mid..]),
+        geofm_resilience::crc32(payload)
+    );
 }
 
 // ---------------------------------------------------------------------------
