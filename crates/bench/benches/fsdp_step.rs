@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geofm_bench::quick_criterion;
-use geofm_fsdp::{run_data_parallel, FsdpConfig, ShardingStrategy};
+use geofm_fsdp::{try_run_data_parallel, FsdpConfig, ResilienceConfig, ShardingStrategy};
 use geofm_nn::Module;
 use geofm_tensor::TensorRng;
 use geofm_vit::{VitConfig, VitModel};
@@ -25,7 +25,7 @@ fn tiny() -> VitConfig {
 
 fn run_steps(strategy: ShardingStrategy, world: usize, whole_model_unit: bool) {
     let cfg = tiny();
-    let report = run_data_parallel(
+    let report = try_run_data_parallel(
         FsdpConfig::tuned(strategy),
         world,
         0.01,
@@ -54,7 +54,10 @@ fn run_steps(strategy: ShardingStrategy, world: usize, whole_model_unit: bool) {
             loss
         },
         |_| 1e-4,
-    );
+        None,
+        ResilienceConfig::disabled(),
+    )
+    .expect("clean run");
     black_box(report.mean_losses);
 }
 

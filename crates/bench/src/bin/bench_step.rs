@@ -10,7 +10,7 @@
 //!
 //! Usage: `bench_step [OUT.json]` (default `BENCH_step.json`).
 
-use geofm_fsdp::{run_data_parallel, FsdpConfig, ShardingStrategy};
+use geofm_fsdp::{try_run_data_parallel, FsdpConfig, ResilienceConfig, ShardingStrategy};
 use geofm_nn::Module;
 use geofm_tensor::TensorRng;
 use geofm_vit::{VitConfig, VitModel};
@@ -40,7 +40,7 @@ fn tiny() -> VitConfig {
 
 fn run_steps(strategy: ShardingStrategy) {
     let cfg = tiny();
-    let report = run_data_parallel(
+    let report = try_run_data_parallel(
         FsdpConfig::tuned(strategy),
         WORLD,
         0.01,
@@ -64,7 +64,10 @@ fn run_steps(strategy: ShardingStrategy) {
             loss
         },
         |_| 1e-4,
-    );
+        None,
+        ResilienceConfig::disabled(),
+    )
+    .expect("clean run");
     std::hint::black_box(report.mean_losses);
 }
 

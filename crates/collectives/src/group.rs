@@ -186,11 +186,6 @@ impl RankHandle {
         self
     }
 
-    /// Whether this handle verifies reduce checksums.
-    pub fn verifies_checksums(&self) -> bool {
-        self.verify_checksums
-    }
-
     /// Share a caller-supplied corruption injector with this handle (see
     /// [`SabotageCell`]); used by the hierarchy wiring so one cell covers
     /// a rank's world/shard/replica handles.

@@ -3,11 +3,10 @@
 //! (model replicated across groups, all-reduce between them) — §III-C of the
 //! paper.
 
-use crate::adaptive::{AdaptiveTimeout, AdaptiveTimeoutConfig};
+use crate::adaptive::AdaptiveTimeout;
 use crate::group::{Group, RankHandle};
 use crate::guard::SabotageCell;
 use crate::traffic::TrafficCounter;
-use geofm_telemetry::MetricsRegistry;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,29 +54,10 @@ impl RankGroups {
     /// every collective this rank runs — world, shard or replica — feeds a
     /// single latency EWMA, and once warmed up the adaptive bound tightens
     /// the static timeout on all of them (see
-    /// [`RankHandle::with_adaptive`]). Pass a metrics registry to record
-    /// observed latencies as the `comm.collective.ns` histogram.
-    pub fn with_adaptive_timeout(
-        mut self,
-        cfg: AdaptiveTimeoutConfig,
-        metrics: Option<Arc<MetricsRegistry>>,
-    ) -> Self {
-        let mut tracker = AdaptiveTimeout::new(cfg);
-        if let Some(m) = metrics {
-            tracker = tracker.with_metrics(m);
-        }
-        let tracker = Arc::new(tracker);
-        self.world = self.world.with_adaptive(Arc::clone(&tracker));
-        self.shard = self.shard.with_adaptive(Arc::clone(&tracker));
-        self.replica = self.replica.with_adaptive(tracker);
-        self
-    }
-
-    /// Like [`RankGroups::with_adaptive_timeout`], but attaching a tracker
-    /// the **caller** owns. The elastic trainer uses this to keep one
-    /// tracker per rank alive across restart attempts so it can
-    /// [`AdaptiveTimeout::reset`] them all after an elastic recovery or
-    /// reshard — latencies learned in the old world (inflated by a dying
+    /// [`RankHandle::with_adaptive`]). The **caller** owns the tracker: the
+    /// elastic trainer keeps one per rank alive across restart attempts so
+    /// it can [`AdaptiveTimeout::reset`] them all after an elastic recovery
+    /// or reshard — latencies learned in the old world (inflated by a dying
     /// peer) must not time out healthy collectives in the new one.
     pub fn with_adaptive_tracker(mut self, tracker: Arc<AdaptiveTimeout>) -> Self {
         self.world = self.world.with_adaptive(Arc::clone(&tracker));

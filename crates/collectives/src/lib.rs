@@ -30,7 +30,6 @@
 
 pub mod adaptive;
 pub mod barrier;
-pub mod consensus;
 pub mod group;
 pub mod guard;
 pub mod hierarchy;
@@ -38,7 +37,6 @@ pub mod traffic;
 
 pub use adaptive::{AdaptiveTimeout, AdaptiveTimeoutConfig};
 pub use barrier::{RankLost, SenseBarrier};
-pub use consensus::{ConsensusError, SurvivorConsensus};
 pub use group::{Group, RankHandle};
 pub use guard::{CollectiveError, CorruptPayload, SabotageCell};
 pub use hierarchy::{HierarchyLayout, ProcessGroups, RankGroups};

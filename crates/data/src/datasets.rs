@@ -170,11 +170,6 @@ impl SceneDataset {
         (train, test)
     }
 
-    /// Generate a pretraining corpus (unlabelled use; labels still carried).
-    pub fn pretrain_corpus(kind: DatasetKind, n: usize, img: usize, channels: usize) -> Self {
-        Self::generate(kind, n, img, channels, 2_000_000, 17)
-    }
-
     /// Borrow a batch by indices.
     pub fn batch(&self, idx: &[usize]) -> (Tensor, Vec<usize>) {
         let images = self.images.gather_rows(idx);

@@ -34,4 +34,4 @@ pub use datasets::{DatasetKind, SceneDataset, SplitSizes};
 pub use scene::{ClassSpec, SceneRenderer};
 pub use shard::{build_corpus, CorpusManifest, RawRecord, ShardError, ShardHeader, ShardReader};
 pub use store::{FsShardStore, ReadError, ShardStore, SimShardStore, StoreMeta};
-pub use stream::{Batch, DefenseConfig, IngestError, IngestPlane, StreamConfig, StreamingLoader};
+pub use stream::{Batch, DefenseConfig, IngestError, IngestPlane, StreamConfig};

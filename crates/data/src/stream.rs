@@ -19,7 +19,7 @@
 //!   front — the contract the integrity guard established for steps,
 //!   extended to records.
 //!
-//! Per rank, [`StreamingLoader`] prefetches batches on a background
+//! Per rank, a `StreamingLoader` prefetches batches on a background
 //! thread over a bounded channel (`prefetch_depth` = 2 ⇒ double
 //! buffering); [`IngestPlane::next_batch`] keeps one loader per rank and
 //! rebuilds it whenever a restart, rollback or elastic reshard makes the
@@ -463,7 +463,7 @@ impl PlaneCore {
 /// A background thread assembles batches for consecutive steps into a
 /// bounded channel. Dropping the loader disconnects the channel and
 /// joins the thread — no detached workers.
-pub struct StreamingLoader {
+struct StreamingLoader {
     rx: Receiver<(usize, Result<Batch, IngestError>)>,
     worker: Option<JoinHandle<()>>,
     core: Arc<PlaneCore>,
@@ -490,7 +490,7 @@ impl StreamingLoader {
 
     /// Consume the next prefetched batch, recording wait time, queue
     /// depth and stalls.
-    pub fn next_batch(&mut self) -> Result<Batch, IngestError> {
+    fn next_batch(&mut self) -> Result<Batch, IngestError> {
         let depth = self.rx.len() as i64;
         self.core.stats.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
         if let Some(tel) = &self.core.telemetry {
@@ -602,12 +602,6 @@ impl IngestPlane {
         let out = cursor.next_batch();
         self.cursors.lock().unwrap().insert(rank, cursor);
         out
-    }
-
-    /// Open a standalone prefetching loader (outside the per-rank cursor
-    /// cache) — the direct-iteration API.
-    pub fn loader(&self, rank: usize, world: usize, start_step: usize) -> StreamingLoader {
-        StreamingLoader::spawn(Arc::clone(&self.core), rank, world, start_step)
     }
 
     /// Snapshot the plane's accounting.

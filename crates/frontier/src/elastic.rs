@@ -2,13 +2,15 @@
 //! restart** at Frontier scale.
 //!
 //! `geofm-fsdp`'s elastic trainer implements the mechanism: on a permanent
-//! rank loss the survivors drain in-flight collectives, run a consensus
-//! round, re-derive their shards from the world-size-independent GEOFMCK3
-//! image and keep training at world − 1; when a spare rejoins the world
-//! grows back. This module prices that policy on the machine model, the
+//! rank loss the survivors drain in-flight collectives, re-derive their
+//! shards from the world-size-independent GEOFMCK3 image and keep training
+//! at world − 1; when a spare rejoins the world grows back. In that
+//! one-process engine the restart loop alone decides the new world, so it
+//! runs no agreement round; a multi-node job must also agree on the
+//! survivor set. This module prices that policy on the machine model, the
 //! same way [`crate::faults`] prices classic checkpoint/restart:
 //!
-//! * **Shrink cost** — quiesce + survivor consensus ([`ElasticModel::
+//! * **Shrink cost** — quiesce + survivor agreement ([`ElasticModel::
 //!   consensus_alpha_s`]) plus redistributing the 3 × param-bytes
 //!   optimizer image across the surviving interconnect at
 //!   [`ElasticModel::reshard_bw`]. The failed step itself is lost (the
@@ -51,10 +53,10 @@ pub struct ElasticModel {
     /// image during a reshard (bytes/s). Bounded by a node's Slingshot
     /// injection bandwidth (4 × 25 GB/s on Frontier) — default 100 GB/s.
     pub reshard_bw: f64,
-    /// Latency of the survivor consensus round plus drain (seconds).
-    /// Measured in `reshard.consensus.ns` telemetry as sub-millisecond at
-    /// test scale; the default budgets 250 ms for a full-system barrier
-    /// plus software overhead.
+    /// Latency of the drain plus the survivors' membership agreement that
+    /// a multi-node job pays (seconds). The one-process engine needs no
+    /// such round, so nothing here measures it; the default budgets
+    /// 250 ms for a full-system barrier plus software overhead.
     pub consensus_alpha_s: f64,
     /// Fraction of the original world below which the shrunken job stops
     /// and waits for spares instead of continuing (memory and goodput both

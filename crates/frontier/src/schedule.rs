@@ -2,7 +2,7 @@
 //! twin of `geofm-fsdp`'s real communication schedule.
 
 use crate::engine::{Stream, Task};
-use crate::machine::{CommOp, FrontierMachine, GroupGeom};
+use crate::machine::{CommOp, FrontierMachine};
 use crate::workload::StepWorkload;
 use geofm_fsdp::{PrefetchPolicy, ShardingStrategy};
 
@@ -250,18 +250,6 @@ pub fn strip_comm(tasks: &[Task]) -> Vec<Task> {
             label: t.label.clone(),
         })
         .collect()
-}
-
-/// Group geometries used by a strategy on a machine (for reporting).
-pub fn geoms_for(
-    machine: &FrontierMachine,
-    strategy: ShardingStrategy,
-) -> (GroupGeom, GroupGeom) {
-    let world = machine.world();
-    let k = strategy.shard_group_size(world).min(world);
-    let shard = machine.shard_geom(k);
-    let replica = if k == 1 { machine.world_geom() } else { machine.replica_geom(k) };
-    (shard, replica)
 }
 
 #[cfg(test)]

@@ -45,7 +45,6 @@ pub use reshard::{global_to_shard, reshard, shards_to_global};
 pub use sentinel::{Sentinel, SentinelConfig, SentinelTrip};
 pub use strategy::{FsdpConfig, PrefetchPolicy, ShardingStrategy};
 pub use trainer::{
-    run_data_parallel, run_data_parallel_with_telemetry, try_run_data_parallel, try_run_elastic,
-    try_run_streaming, DistReport, ElasticConfig, GuardConfig, ReshardEvent, ReshardKind,
-    ReshardReport, ResilienceConfig,
+    try_run_data_parallel, try_run_elastic, try_run_streaming, DistReport, ElasticConfig,
+    GuardConfig, ReshardEvent, ReshardKind, ReshardReport, ResilienceConfig,
 };

@@ -88,10 +88,10 @@ impl std::error::Error for StepError {}
 /// * every rank builds the model **identically** (same seed);
 /// * `groups` comes from [`geofm_collectives::ProcessGroups::hierarchy`]
 ///   with `shard_size = config.strategy.shard_group_size(world)`;
-/// * all ranks call [`FsdpRank::step`] collectively, in lockstep.
+/// * all ranks call [`FsdpRank::try_step`] collectively, in lockstep.
 pub struct FsdpRank<M: Module> {
     /// The wrapped model (parameters authoritative only after
-    /// [`FsdpRank::materialize`] or at the top of each step).
+    /// [`FsdpRank::try_materialize`] or at the top of each step).
     pub model: M,
     config: FsdpConfig,
     groups: RankGroups,
@@ -190,11 +190,6 @@ impl<M: Module> FsdpRank<M> {
         self
     }
 
-    /// World size.
-    pub fn world(&self) -> usize {
-        self.world
-    }
-
     /// This rank's global index.
     pub fn rank(&self) -> usize {
         self.groups.rank
@@ -203,11 +198,6 @@ impl<M: Module> FsdpRank<M> {
     /// This rank's index within its shard group.
     pub fn shard_rank(&self) -> usize {
         self.shard_rank
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &FsdpConfig {
-        &self.config
     }
 
     /// Per-rank parameter memory actually held by this strategy (elements):
@@ -312,20 +302,13 @@ impl<M: Module> FsdpRank<M> {
     /// forward + backward on this rank's microbatch, and return the local
     /// loss; the engine handles everything else.
     ///
-    /// # Panics
-    /// Panics if a peer rank is lost or a reduce is corrupt mid-step (see
-    /// [`FsdpRank::try_step`]).
-    pub fn step(&mut self, lr: f32, compute: impl FnOnce(&mut M) -> f32) -> StepReport {
-        self.try_step(lr, compute).expect("distributed step failed")
-    }
-
-    /// Fallible [`FsdpRank::step`]: a lost peer (poisoned group or barrier
-    /// timeout) surfaces as [`StepError::Lost`]; a checksum-detected
-    /// reduce corruption as [`StepError::Corrupt`]. On either error the
-    /// model parameters and optimizer state are those of the last
-    /// *completed* step — a failed step applies no partial update, so
-    /// recovery can resume from the previous checkpoint (or, for
-    /// `Corrupt`, roll back in-band) without unwinding half-applied state.
+    /// A lost peer (poisoned group or barrier timeout) surfaces as
+    /// [`StepError::Lost`]; a checksum-detected reduce corruption as
+    /// [`StepError::Corrupt`]. On either error the model parameters and
+    /// optimizer state are those of the last *completed* step — a failed
+    /// step applies no partial update, so recovery can resume from the
+    /// previous checkpoint (or, for `Corrupt`, roll back in-band) without
+    /// unwinding half-applied state.
     ///
     /// On `Corrupt` the step still issues its **entire** collective
     /// schedule with garbage payloads before returning: in a hierarchy,
@@ -418,21 +401,14 @@ impl<M: Module> FsdpRank<M> {
         Ok(StepReport { loss, grad_norm, lr })
     }
 
-    /// Gather the final parameters into the model (collective call).
-    ///
-    /// # Panics
-    /// Panics if a peer rank is lost (see [`FsdpRank::try_materialize`]).
-    pub fn materialize(&mut self) {
-        self.try_materialize().expect("materialize failed: peer rank lost");
-    }
-
-    /// Fallible [`FsdpRank::materialize`].
+    /// Gather the final parameters into the model (collective call). A
+    /// lost peer surfaces as `Err(RankLost)`.
     pub fn try_materialize(&mut self) -> Result<(), RankLost> {
         self.try_gather_params()
     }
 
     /// Pack the (materialised) model parameters; call after
-    /// [`FsdpRank::materialize`].
+    /// [`FsdpRank::try_materialize`].
     pub fn packed_params(&mut self) -> Vec<f32> {
         let mut out = Vec::new();
         self.model.pack_values(&mut out);
@@ -562,9 +538,9 @@ mod tests {
                         let (x, y) = global_batch(step);
                         let xl = x.rows(rank * per, (rank + 1) * per);
                         let yl = y.rows(rank * per, (rank + 1) * per);
-                        fr.step(0.01, |m| m.compute(&xl, &yl));
+                        fr.try_step(0.01, |m| m.compute(&xl, &yl)).expect("clean step");
                     }
-                    fr.materialize();
+                    fr.try_materialize().expect("clean gather");
                     *results[rank].lock().unwrap() = Some(fr.packed_params());
                 });
             }
@@ -619,9 +595,9 @@ mod tests {
                         let (x, y) = global_batch(step);
                         let xl = x.rows(rank * 2, rank * 2 + 2);
                         let yl = y.rows(rank * 2, rank * 2 + 2);
-                        fr.step(0.01, |m| m.compute(&xl, &yl));
+                        fr.try_step(0.01, |m| m.compute(&xl, &yl)).expect("clean step");
                     }
-                    fr.materialize();
+                    fr.try_materialize().expect("clean gather");
                     *results[rank].lock().unwrap() = Some(fr.packed_params());
                 });
             }
@@ -671,7 +647,7 @@ mod tests {
                         let (x, y) = global_batch(0);
                         let xl = x.rows(rank * 2, rank * 2 + 2);
                         let yl = y.rows(rank * 2, rank * 2 + 2);
-                        fr.step(0.01, |m| m.compute(&xl, &yl));
+                        fr.try_step(0.01, |m| m.compute(&xl, &yl)).expect("clean step");
                     });
                 }
             });
@@ -709,7 +685,7 @@ mod tests {
                     let (x, y) = global_batch(0);
                     let xl = x.rows(rank * 2, rank * 2 + 2);
                     let yl = y.rows(rank * 2, rank * 2 + 2);
-                    fr.step(0.01, |m| m.compute(&xl, &yl));
+                    fr.try_step(0.01, |m| m.compute(&xl, &yl)).expect("clean step");
                 });
             }
         });
@@ -735,7 +711,7 @@ mod tests {
                         let (x, y) = global_batch(0);
                         let xl = x.rows(rank * 4, rank * 4 + 4);
                         let yl = y.rows(rank * 4, rank * 4 + 4);
-                        fr.step(0.01, |m| m.compute(&xl, &yl));
+                        fr.try_step(0.01, |m| m.compute(&xl, &yl)).expect("clean step");
                     });
                 }
             });

@@ -47,6 +47,11 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+/// The guard takes its in-memory rollback snapshot every this many
+/// completed steps: fewer means less re-executed work per rollback and
+/// more snapshot copies.
+const SNAPSHOT_EVERY: usize = 2;
+
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -197,7 +202,7 @@ impl<'a> Guard<'a> {
     /// rollback snapshot.
     pub(crate) fn snapshot<M: Module>(&mut self, fr: &FsdpRank<M>, step: usize, losses_len: usize) {
         let done = step + 1;
-        if self.gc.snapshot_every > 0 && done.is_multiple_of(self.gc.snapshot_every) {
+        if done.is_multiple_of(SNAPSHOT_EVERY) {
             let (p, a) = fr.export_state();
             self.snap_params = p;
             self.snap_adam = a;
@@ -258,9 +263,9 @@ impl<'a> FaultInjector<'a> {
         Self { plan, groups, collective_timeout, elastic_on, can_grow, tel }
     }
 
-    /// Consume rank `rank`'s draws for `step`. A fail-stop fault poisons
-    /// the rank's groups and returns the failure; a departure or a spare
-    /// rejoin also drains the comm thread before the rank leaves.
+    /// Consume rank `rank`'s draws for `step`. A fail-stop fault (crash,
+    /// hang, departure or spare rejoin) poisons the rank's groups and
+    /// returns the failure.
     pub(crate) fn draw<M: Module>(
         &self,
         fr: &FsdpRank<M>,

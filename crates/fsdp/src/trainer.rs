@@ -1,12 +1,9 @@
 //! Convenience harness: run a distributed training job across rank threads
 //! and collect the result.
 //!
-//! Five entry points, all funnelling into one restart loop:
+//! Three entry points, all funnelling into one restart loop:
 //!
-//! * [`run_data_parallel`] / [`run_data_parallel_with_telemetry`] — the
-//!   infallible harness. Any rank failure (there should be none without
-//!   fault injection) panics with a structured report.
-//! * [`try_run_data_parallel`] — the resilient harness. A [`ResilienceConfig`]
+//! * [`try_run_data_parallel`] — the harness. A [`ResilienceConfig`]
 //!   supplies a deterministic [`FaultPlan`], a checkpoint cadence, a
 //!   bounded collective timeout, and a restart budget. A rank that crashes
 //!   (injected or a real panic in `compute`) poisons its groups so every
@@ -14,6 +11,8 @@
 //!   then restarts the world from the latest GEOFMCK3 checkpoint (or from
 //!   scratch without one), resuming **bit-identically** — the final
 //!   parameters equal those of a run that never failed.
+//!   [`ResilienceConfig::disabled`] turns all of that off; a caller that
+//!   expects no failure unwraps the `Result`.
 //! * [`try_run_elastic`] — the loop itself, with a world-aware `compute`
 //!   so the world can shrink and re-grow; [`try_run_streaming`] feeds it
 //!   from an [`IngestPlane`].
@@ -35,8 +34,8 @@ use crate::runtime::{Checkpointer, FaultInjector, Guard, RankSlot};
 use crate::sentinel::SentinelConfig;
 use crate::strategy::{FsdpConfig, ShardingStrategy};
 use geofm_collectives::{
-    AdaptiveTimeout, AdaptiveTimeoutConfig, ConsensusError, HierarchyLayout,
-    ProcessGroups, SurvivorConsensus, TrafficCounter, TrafficSnapshot,
+    AdaptiveTimeout, AdaptiveTimeoutConfig, HierarchyLayout, ProcessGroups, TrafficCounter,
+    TrafficSnapshot,
 };
 use geofm_nn::{AdamWState, Module};
 use geofm_data::stream::{Batch, IngestPlane};
@@ -59,6 +58,9 @@ pub(crate) const CAUSE_LEAVE: &str = "rank left permanently";
 /// Failure cause recorded by the rank that observes a spare arriving
 /// ([`geofm_resilience::FaultKind::SpareRejoin`]) — keys the grow decision.
 pub(crate) const CAUSE_REJOIN: &str = "spare rank rejoined";
+/// A rank is flagged as a straggler once its local-work EWMA exceeds this
+/// multiple of the healthy median (see [`HealthMonitor`]).
+const STRAGGLER_THRESHOLD: f64 = 2.5;
 
 /// The outcome of a distributed run.
 #[derive(Debug, Clone)]
@@ -154,18 +156,11 @@ pub struct ElasticConfig {
     /// in memory only — restarts, shrinks and grows still resume from the
     /// latest in-memory image.
     pub checkpoint_path: Option<PathBuf>,
-    /// Bound on each phase of the survivor-consensus round run between
-    /// drain and reshard (see [`SurvivorConsensus`]).
-    pub consensus_timeout: Duration,
 }
 
 impl Default for ElasticConfig {
     fn default() -> Self {
-        Self {
-            min_world: 1,
-            checkpoint_path: None,
-            consensus_timeout: Duration::from_secs(10),
-        }
+        Self { min_world: 1, checkpoint_path: None }
     }
 }
 
@@ -176,17 +171,13 @@ impl Default for ElasticConfig {
 /// `[local loss, corruption flag]`) whose result is identical on every
 /// rank, (c) [`Sentinel`](crate::Sentinel) screening of that agreed mean
 /// loss and the global grad norm, and (d) deterministic rollback-and-skip
-/// on any trip. The guard's rollback snapshots are in memory and separate
-/// from the GEOFMCK3 checkpoints.
+/// on any trip. The guard's rollback snapshots are in memory, taken every
+/// second completed step, and separate from the GEOFMCK3 checkpoints.
 #[derive(Debug, Clone)]
 pub struct GuardConfig {
     /// Sentinel thresholds (NaN/Inf guard + robust z-score spike
     /// detectors).
     pub sentinel: SentinelConfig,
-    /// Take an in-memory rollback snapshot every this many completed
-    /// steps (≥ 1). Smaller = less re-executed work per rollback, more
-    /// snapshot copies.
-    pub snapshot_every: usize,
     /// How many rollback-and-skip recoveries the run may perform before
     /// a trip becomes a hard failure (a stream of trips means the fault
     /// is not transient).
@@ -202,7 +193,6 @@ impl Default for GuardConfig {
     fn default() -> Self {
         Self {
             sentinel: SentinelConfig::default(),
-            snapshot_every: 2,
             max_rollbacks: 8,
             skip_steps: BTreeSet::new(),
         }
@@ -235,9 +225,6 @@ pub struct ResilienceConfig {
     /// up. This is how a hang is detected relative to real step time
     /// instead of a pessimistic fixed bound.
     pub adaptive_timeout: Option<AdaptiveTimeoutConfig>,
-    /// A rank is flagged as a straggler once its local-work EWMA exceeds
-    /// this multiple of the healthy median (see [`HealthMonitor`]).
-    pub straggler_threshold: f64,
     /// Silent-data-corruption / loss-spike defense. `Some` enables
     /// checksummed reduce collectives, the per-step guard exchange,
     /// [`Sentinel`](crate::Sentinel) screening and deterministic
@@ -256,7 +243,7 @@ pub struct ResilienceConfig {
 impl ResilienceConfig {
     /// No faults, no checkpoints, no restarts — but still a bounded (60 s)
     /// collective wait, so a genuine deadlock fails loudly instead of
-    /// hanging the process. This is what the infallible harness uses.
+    /// hanging the process.
     pub fn disabled() -> Self {
         Self {
             fault_plan: Arc::new(FaultPlan::none()),
@@ -264,7 +251,6 @@ impl ResilienceConfig {
             collective_timeout: Some(Duration::from_secs(60)),
             max_restarts: 0,
             adaptive_timeout: None,
-            straggler_threshold: 2.5,
             guard: None,
             elastic: None,
         }
@@ -308,66 +294,16 @@ fn rank_pool(world: usize) -> rayon::ThreadPool {
 ///   correct data-parallel semantics the local loss must be a **mean** over
 ///   the rank's samples and microbatches must partition the global batch.
 /// * `lr_at(step)` supplies the learning rate.
-pub fn run_data_parallel<M, FM, FC, FL>(
-    config: FsdpConfig,
-    world: usize,
-    weight_decay: f32,
-    steps: usize,
-    make_model: FM,
-    compute: FC,
-    lr_at: FL,
-) -> DistReport
-where
-    M: Module + Send,
-    FM: Fn(usize) -> (M, Vec<usize>) + Sync,
-    FC: Fn(&mut M, usize, usize) -> f32 + Sync,
-    FL: Fn(usize) -> f32 + Sync,
-{
-    run_data_parallel_with_telemetry(config, world, weight_decay, steps, make_model, compute, lr_at, None)
-}
-
-/// [`run_data_parallel`] with an optional shared [`Telemetry`] bundle.
+/// * `telemetry`, when supplied, records collective traffic into the
+///   bundle's registry (`comm.<kind>.bytes` / `comm.<kind>.calls`), every
+///   rank's step phases (`fsdp.<phase>.ns` histograms + trace spans per
+///   rank track), and counts rank-steps in `fsdp.steps`.
 ///
-/// When supplied, collective traffic is recorded into the bundle's registry
-/// (`comm.<kind>.bytes` / `comm.<kind>.calls`), every rank times its step
-/// phases (`fsdp.<phase>.ns` histograms + trace spans per rank track), and
-/// `fsdp.steps` counts rank-steps.
-#[allow(clippy::too_many_arguments)]
-pub fn run_data_parallel_with_telemetry<M, FM, FC, FL>(
-    config: FsdpConfig,
-    world: usize,
-    weight_decay: f32,
-    steps: usize,
-    make_model: FM,
-    compute: FC,
-    lr_at: FL,
-    telemetry: Option<Arc<Telemetry>>,
-) -> DistReport
-where
-    M: Module + Send,
-    FM: Fn(usize) -> (M, Vec<usize>) + Sync,
-    FC: Fn(&mut M, usize, usize) -> f32 + Sync,
-    FL: Fn(usize) -> f32 + Sync,
-{
-    try_run_data_parallel(
-        config,
-        world,
-        weight_decay,
-        steps,
-        make_model,
-        compute,
-        lr_at,
-        telemetry,
-        ResilienceConfig::disabled(),
-    )
-    .unwrap_or_else(|report| panic!("distributed run failed: {report}"))
-}
-
-/// Fault-tolerant [`run_data_parallel`]: injects the faults scheduled in
-/// `resilience.fault_plan`, checkpoints at the configured cadence, and
-/// restarts the world from the latest checkpoint after a failed attempt
-/// (up to `max_restarts` times). Returns the structured
-/// [`FailureReport`] when the restart budget is exhausted.
+/// The run injects the faults scheduled in `resilience.fault_plan`,
+/// checkpoints at the configured cadence, and restarts the world from the
+/// latest checkpoint after a failed attempt (up to `max_restarts` times).
+/// Returns the structured [`FailureReport`] when the restart budget is
+/// exhausted.
 ///
 /// Recovery is **bit-identical**: a run that crashes and resumes produces
 /// exactly the final parameters and per-step losses of an uninterrupted
@@ -487,10 +423,10 @@ where
 ///    every survivor's collective with `Err(RankLost)` within one timeout.
 ///    Every collective is blocking, so once the attempt scope joins no
 ///    rank has a collective left in flight.
-/// 2. **Consensus.** Survivors run a fallible [`SurvivorConsensus`] round
-///    and must unanimously agree on the survivor set; any timeout or split
-///    aborts the reshard with a structured failure (never a minority
-///    world).
+/// 2. **Decide.** The restart loop reads the departed set off the joined
+///    attempt's [`RankFailure`]s. It is the one decider, so the new world
+///    needs no agreement round; a shrink below
+///    [`ElasticConfig::min_world`] is a structured failure.
 /// 3. **Reshard.** The world restarts at `world - departed` ranks — the
 ///    strategy remapped via [`ShardingStrategy::remap_for_world`] — and
 ///    every rank re-derives its shards from the last world-size-independent
@@ -539,7 +475,7 @@ where
     // reset at every attempt boundary: statistics learned in the old world
     // (inflated by a dying or degraded peer) must never flag healthy ranks
     // or time out healthy collectives in the new one.
-    let health = HealthMonitor::new(world, resilience.straggler_threshold)
+    let health = HealthMonitor::new(world, STRAGGLER_THRESHOLD)
         .with_telemetry(telemetry.clone());
     let trackers: Option<Vec<Arc<AdaptiveTimeout>>> = resilience.adaptive_timeout.map(|cfg| {
         (0..world)
@@ -639,82 +575,51 @@ where
                 }
 
                 let Some(ecfg) = resilience.elastic.as_ref() else { continue };
-                if !departed.is_empty() {
-                    // ---- shrink: the poison drained every rank on the way
-                    // down (the scope has joined); agree, then reshard ----
-                    let target = cur_world - departed.len();
-                    if target < ecfg.min_world.max(1) {
-                        failure.degraded = health.report().map(Box::new);
-                        failure.failures.push(RankFailure {
-                            rank: departed[0],
-                            step: resume_step_of(&elastic_snapshot),
-                            cause: format!(
-                                "cannot shrink to {target} ranks: below min_world {}",
-                                ecfg.min_world.max(1)
-                            ),
-                        });
-                        return Err(failure);
-                    }
-                    if let Err(e) = survivor_consensus(
-                        cur_world,
-                        &departed,
-                        ecfg.consensus_timeout,
-                        telemetry.as_deref(),
-                    ) {
-                        failure.degraded = health.report().map(Box::new);
-                        failure.failures.push(RankFailure {
-                            rank: 0,
-                            step: resume_step_of(&elastic_snapshot),
-                            cause: format!("survivor consensus failed: {e}"),
-                        });
-                        return Err(failure);
-                    }
-                    let from_world = cur_world;
-                    cur_world = target;
-                    cur_config.strategy = config.strategy.remap_for_world(cur_world);
-                    let ckpt = lock(&elastic_snapshot).clone().unwrap_or_default();
-                    failure.reshards.push(ReshardSummary {
-                        step: ckpt.step,
-                        from_world,
-                        to_world: cur_world,
-                    });
-                    if let Some(t) = telemetry.as_deref() {
-                        t.metrics.counter("reshard.shrinks").inc(1);
-                    }
-                    reshard_events.push(ReshardEvent {
-                        kind: ReshardKind::Shrink,
-                        step: ckpt.step,
-                        from_world,
-                        to_world: cur_world,
-                        departed,
-                        strategy: cur_config.strategy,
-                        ckpt,
-                    });
+                // the poison drained every rank on the way down (the scope
+                // has joined): a departure shrinks the world, a spare
+                // rejoin grows it back by one (never past the original size)
+                let (kind, to_world, counter) = if !departed.is_empty() {
+                    (ReshardKind::Shrink, cur_world - departed.len(), "reshard.shrinks")
                 } else if rejoined && cur_world < world {
-                    // ---- grow: the spare takes the next rank slot and
-                    // shards redistribute back over the larger world ----
-                    let from_world = cur_world;
-                    cur_world += 1;
-                    cur_config.strategy = config.strategy.remap_for_world(cur_world);
-                    let ckpt = lock(&elastic_snapshot).clone().unwrap_or_default();
-                    failure.reshards.push(ReshardSummary {
-                        step: ckpt.step,
-                        from_world,
-                        to_world: cur_world,
+                    (ReshardKind::Grow, cur_world + 1, "reshard.grows")
+                } else {
+                    continue;
+                };
+                // only a shrink can cross the floor: every grow starts from
+                // a world that a shrink already checked against it
+                if to_world < ecfg.min_world.max(1) {
+                    failure.degraded = health.report().map(Box::new);
+                    failure.failures.push(RankFailure {
+                        rank: departed[0],
+                        step: resume_step_of(&elastic_snapshot),
+                        cause: format!(
+                            "cannot shrink to {to_world} ranks: below min_world {}",
+                            ecfg.min_world.max(1)
+                        ),
                     });
-                    if let Some(t) = telemetry.as_deref() {
-                        t.metrics.counter("reshard.grows").inc(1);
-                    }
-                    reshard_events.push(ReshardEvent {
-                        kind: ReshardKind::Grow,
-                        step: ckpt.step,
-                        from_world,
-                        to_world: cur_world,
-                        departed: Vec::new(),
-                        strategy: cur_config.strategy,
-                        ckpt,
-                    });
+                    return Err(failure);
                 }
+                let from_world = cur_world;
+                cur_world = to_world;
+                cur_config.strategy = config.strategy.remap_for_world(cur_world);
+                let ckpt = lock(&elastic_snapshot).clone().unwrap_or_default();
+                failure.reshards.push(ReshardSummary {
+                    step: ckpt.step,
+                    from_world,
+                    to_world: cur_world,
+                });
+                if let Some(t) = telemetry.as_deref() {
+                    t.metrics.counter(counter).inc(1);
+                }
+                reshard_events.push(ReshardEvent {
+                    kind,
+                    step: ckpt.step,
+                    from_world,
+                    to_world: cur_world,
+                    departed,
+                    strategy: cur_config.strategy,
+                    ckpt,
+                });
             }
         }
     }
@@ -723,48 +628,6 @@ where
 /// Step the next attempt will resume from, for failure bookkeeping.
 fn resume_step_of(snapshot: &Mutex<Option<ElasticCheckpoint>>) -> usize {
     lock(snapshot).as_ref().map(|ck| ck.step as usize).unwrap_or(0)
-}
-
-/// Run the survivor-agreement round of the shrink protocol: every survivor
-/// proposes the same observed view (the old world minus the departed) and
-/// the round must return that exact set, unanimously. Any timeout, split
-/// or exclusion aborts the reshard.
-fn survivor_consensus(
-    world: usize,
-    departed: &[usize],
-    timeout: Duration,
-    telemetry: Option<&Telemetry>,
-) -> Result<u64, ConsensusError> {
-    let mut view = SurvivorConsensus::full_mask(world);
-    for &d in departed {
-        view &= !(1u64 << d);
-    }
-    let round = SurvivorConsensus::new(world, timeout);
-    let t0 = Instant::now();
-    let results: Vec<Result<u64, ConsensusError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..world)
-            .filter(|r| !departed.contains(r))
-            .map(|r| {
-                let round = &round;
-                s.spawn(move || round.propose(r, view))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or(Err(ConsensusError::Timeout { rank: world, waiting_on: world }))
-            })
-            .collect()
-    });
-    if let Some(t) = telemetry {
-        t.metrics.counter("reshard.consensus.rounds").inc(1);
-        t.metrics.histogram("reshard.consensus.ns").record(t0.elapsed().as_nanos() as u64);
-    }
-    for r in results {
-        let agreed = r?;
-        debug_assert_eq!(agreed, view, "unanimous proposals can only agree on the view");
-    }
-    Ok(view)
 }
 
 /// Elastic context one attempt runs under.
@@ -1105,25 +968,6 @@ mod tests {
         loss
     }
 
-    fn run(strategy: ShardingStrategy, world: usize) -> DistReport {
-        let cfg = tiny_vit();
-        run_data_parallel(
-            FsdpConfig::tuned(strategy),
-            world,
-            0.01,
-            4,
-            |_rank| {
-                let mut rng = TensorRng::seed_from(99);
-                let cfg = tiny_vit();
-                let mut model = VitModel::new(&cfg, &mut rng);
-                let units = model.unit_param_counts();
-                (model, units)
-            },
-            |m, rank, step| vit_compute(&cfg, m, rank, step, world),
-            |_step| 1e-3,
-        )
-    }
-
     fn run_resilient(
         strategy: ShardingStrategy,
         world: usize,
@@ -1148,6 +992,10 @@ mod tests {
             None,
             resilience,
         )
+    }
+
+    fn run(strategy: ShardingStrategy, world: usize) -> DistReport {
+        run_resilient(strategy, world, 4, ResilienceConfig::disabled()).expect("clean run")
     }
 
     fn ckpt_dir(tag: &str) -> PathBuf {
@@ -1186,23 +1034,9 @@ mod tests {
         // Each step draws a fresh random batch, so single-step losses are
         // noisy; train long enough that the trend dominates the noise and
         // compare first-half vs second-half means.
-        let cfg = tiny_vit();
-        let world = 2;
-        let report = run_data_parallel(
-            FsdpConfig::tuned(ShardingStrategy::FullShard),
-            world,
-            0.01,
-            12,
-            |_rank| {
-                let mut rng = TensorRng::seed_from(99);
-                let cfg = tiny_vit();
-                let mut model = VitModel::new(&cfg, &mut rng);
-                let units = model.unit_param_counts();
-                (model, units)
-            },
-            |m, rank, step| vit_compute(&cfg, m, rank, step, world),
-            |_step| 1e-3,
-        );
+        let report =
+            run_resilient(ShardingStrategy::FullShard, 2, 12, ResilienceConfig::disabled())
+                .expect("clean run");
         let losses = &report.mean_losses;
         let half = losses.len() / 2;
         let mean = |s: &[f32]| s.iter().sum::<f32>() / s.len() as f32;
@@ -1644,6 +1478,7 @@ mod tests {
         world: usize,
         steps: usize,
         resilience: ResilienceConfig,
+        telemetry: Option<Arc<Telemetry>>,
     ) -> Result<DistReport, FailureReport> {
         let cfg = tiny_vit();
         try_run_elastic(
@@ -1660,7 +1495,7 @@ mod tests {
             },
             |m, rank, world, step| vit_compute_elastic(&cfg, m, rank, world, step),
             |_step| 1e-3,
-            None,
+            telemetry,
             resilience,
         )
     }
@@ -1686,6 +1521,7 @@ mod tests {
                 }),
                 ..ResilienceConfig::disabled()
             },
+            None,
         )
         .expect("reference run must succeed");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1707,9 +1543,13 @@ mod tests {
             }),
             ..ResilienceConfig::disabled()
         };
-        let report = run_elastic(ShardingStrategy::FullShard, 3, 6, resilience)
+        let tel = Telemetry::new();
+        let report = run_elastic(ShardingStrategy::FullShard, 3, 6, resilience, Some(tel.clone()))
             .expect("losing a rank permanently must shrink and continue");
         assert_eq!(report.reshard.events.len(), 1, "exactly one transition");
+        // a shrink bumps its own counter and never the grow counter
+        assert_eq!(tel.metrics.counter("reshard.shrinks").get(), 1);
+        assert_eq!(tel.metrics.counter("reshard.grows").get(), 0);
         let ev = &report.reshard.events[0];
         assert_eq!(ev.kind, ReshardKind::Shrink);
         assert_eq!((ev.from_world, ev.to_world), (3, 2));
@@ -1740,8 +1580,9 @@ mod tests {
             elastic: Some(ElasticConfig::default()),
             ..ResilienceConfig::disabled()
         };
-        let report = run_elastic(ShardingStrategy::Hybrid { shard_size: 2 }, 4, 6, resilience)
-            .expect("hybrid shrink must remap the shard group and continue");
+        let report =
+            run_elastic(ShardingStrategy::Hybrid { shard_size: 2 }, 4, 6, resilience, None)
+                .expect("hybrid shrink must remap the shard group and continue");
         let ev = &report.reshard.events[0];
         assert_eq!((ev.from_world, ev.to_world), (4, 3));
         assert_eq!(ev.strategy, ShardingStrategy::Hybrid { shard_size: 1 });
@@ -1762,10 +1603,18 @@ mod tests {
             elastic: Some(ElasticConfig::default()),
             ..ResilienceConfig::disabled()
         };
-        let report = run_elastic(ShardingStrategy::FullShard, 3, 6, resilience)
+        let tel = Telemetry::new();
+        let report = run_elastic(ShardingStrategy::FullShard, 3, 6, resilience, Some(tel.clone()))
             .expect("shrink then grow must complete");
         assert_eq!(report.reshard.shrinks(), 1);
         assert_eq!(report.reshard.grows(), 1);
+        // the one transition block bumps the counter of its own kind
+        let counter = |name: &str| tel.metrics.counter(name).get();
+        assert_eq!(counter("reshard.shrinks"), 1);
+        assert_eq!(counter("reshard.grows"), 1);
+        assert_eq!(report.restarts, 2);
+        assert_eq!(counter("fault.restarts"), 2);
+        assert_eq!(tel.metrics.gauge("reshard.world").get(), 3, "grown back to the launch world");
         let shrink = &report.reshard.events[0];
         let grow = &report.reshard.events[1];
         assert_eq!((shrink.from_world, shrink.to_world), (3, 2));
@@ -1792,7 +1641,7 @@ mod tests {
             elastic: Some(ElasticConfig::default()),
             ..ResilienceConfig::disabled()
         };
-        let report = run_elastic(ShardingStrategy::ShardGradOp, 3, 4, resilience)
+        let report = run_elastic(ShardingStrategy::ShardGradOp, 3, 4, resilience, None)
             .expect("shrink without a snapshot restarts from scratch");
         let ev = &report.reshard.events[0];
         assert_eq!(ev.step, 0);
@@ -1806,6 +1655,7 @@ mod tests {
                 collective_timeout: Some(Duration::from_secs(5)),
                 ..ResilienceConfig::disabled()
             },
+            None,
         )
         .expect("fresh small-world run");
         assert_eq!(bits(&report.final_params), bits(&fresh.final_params));
@@ -1821,7 +1671,7 @@ mod tests {
             elastic: Some(ElasticConfig { min_world: 2, ..ElasticConfig::default() }),
             ..ResilienceConfig::disabled()
         };
-        let err = run_elastic(ShardingStrategy::FullShard, 2, 4, resilience)
+        let err = run_elastic(ShardingStrategy::FullShard, 2, 4, resilience, None)
             .expect_err("shrinking 2 -> 1 under min_world 2 must fail");
         assert!(
             err.failures.iter().any(|f| f.cause.contains("below min_world")),

@@ -13,8 +13,7 @@
 //! | `fig2`  | Fig. 2 — ViT-5B sharding × prefetch × limit_all_gathers |
 //! | `fig3`  | Fig. 3 — weak scaling ViT-B/H/1B/3B + memory panels |
 //! | `fig4`  | Fig. 4 — ViT-5B/15B sharding at scale + memory + power trace |
-//! | `fig5`  | Fig. 5 — MAE pretraining loss for the (scaled) model family |
-//! | `fig6`  | Fig. 6 + Table III — probe accuracy vs epoch per dataset and model, and the final top-1/top-5 per (model, dataset) |
+//! | `fig6`  | Fig. 5 + Fig. 6 + Table III from one pretraining per encoder — MAE pretraining loss for the (scaled) model family, probe accuracy vs epoch per dataset and model, and the final top-1/top-5 per (model, dataset) |
 //! | `figR`  | Resilience — goodput vs checkpoint interval × node count, with the Young/Daly analytic optimum (not in the paper; supports the fault-tolerance analysis in §III) |
 //! | `figS`  | Gray failures — ips vs degradation fraction per sharding strategy under degraded-GCD/degraded-link models (not in the paper; quantifies the regime §IV-D assumes away) |
 //! | `figT`  | SDC guard — goodput vs silent-corruption rate per strategy, guard on/off (not in the paper; prices the integrity defense of DESIGN.md §11) |

@@ -216,16 +216,6 @@ impl ServeCore {
         self
     }
 
-    /// Number of configured tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Whether shutdown drain has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutting_down
-    }
-
     /// Current degradation rung.
     pub fn degrade_level(&self) -> DegradeLevel {
         self.degrade.level()
@@ -580,11 +570,6 @@ impl ServeCore {
     /// backbone's current generation).
     pub fn on_backbone_swap(&mut self) {
         self.cache.invalidate_backbone(self.backbone.backbone_gen());
-    }
-
-    /// Invalidate one tenant's cache entries after an adapter swap.
-    pub fn on_adapter_swap(&mut self, tenant: TenantId) {
-        self.cache.invalidate_tenant(tenant, self.backbone.adapter_gen(tenant));
     }
 
     /// Begin shutdown: refuse new work and shed everything still queued.

@@ -15,8 +15,8 @@
 //!   [`Histogram`]s. Handles are `Arc`s over plain atomics, so the hot path
 //!   (a collective recording its bytes, a rank timing a phase) never takes
 //!   a lock.
-//! * [`PhaseTimer`] / [`Stopwatch`] — scoped wall-clock timers feeding
-//!   histograms in nanoseconds.
+//! * [`Telemetry::phase`] — a scoped wall-clock timer feeding a histogram
+//!   in nanoseconds and a trace span; [`Stopwatch`] is its manual form.
 //! * [`TraceRecorder`] — accumulates spans with either real timestamps
 //!   (threaded engine) or *virtual* timestamps (the Frontier discrete-event
 //!   simulator), and serialises them as Chrome trace JSON with no external
@@ -97,8 +97,6 @@
 //! | `reshard.world` | gauge | current world size (high-water mark = launch world) |
 //! | `reshard.shrinks` | counter | shrink-and-continue transitions performed |
 //! | `reshard.grows` | counter | re-grow transitions on spare rejoin |
-//! | `reshard.consensus.rounds` | counter | survivor consensus rounds completed |
-//! | `reshard.consensus.ns` | histogram | wall time of each survivor consensus round |
 //! | `fault.rank_leave` | counter | permanent rank departures fired by the fault plan |
 //! | `fault.spare_rejoin` | counter | spare-rejoin events fired by the fault plan |
 
@@ -112,7 +110,7 @@ pub use registry::{
     Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use timer::{PhaseTimer, Stopwatch};
+pub use timer::Stopwatch;
 pub use trace::{TraceEvent, TraceRecorder, TraceSpan};
 
 use std::sync::Arc;

@@ -1,7 +1,5 @@
-//! Scoped wall-clock timers feeding histograms.
+//! A manual wall-clock stopwatch.
 
-use crate::registry::Histogram;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Manual stopwatch: start, read, restart.
@@ -27,11 +25,6 @@ impl Stopwatch {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Elapsed microseconds since start, fractional.
-    pub fn elapsed_us(&self) -> f64 {
-        self.start.elapsed().as_nanos() as f64 / 1_000.0
-    }
-
     /// Restart and return the elapsed nanoseconds of the lap just ended.
     pub fn lap_ns(&mut self) -> u64 {
         let ns = self.elapsed_ns();
@@ -40,44 +33,9 @@ impl Stopwatch {
     }
 }
 
-/// RAII timer: records elapsed nanoseconds into a histogram on drop.
-#[derive(Debug)]
-pub struct PhaseTimer {
-    hist: Arc<Histogram>,
-    watch: Stopwatch,
-}
-
-impl PhaseTimer {
-    /// Start timing into `hist`.
-    pub fn new(hist: Arc<Histogram>) -> Self {
-        Self { hist, watch: Stopwatch::start() }
-    }
-
-    /// Stop early and record (equivalent to dropping).
-    pub fn stop(self) {}
-}
-
-impl Drop for PhaseTimer {
-    fn drop(&mut self) {
-        self.hist.record(self.watch.elapsed_ns());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phase_timer_records_on_drop() {
-        let h = Arc::new(Histogram::default());
-        {
-            let _t = PhaseTimer::new(h.clone());
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 1);
-        assert!(s.sum >= 1_000_000);
-    }
 
     #[test]
     fn stopwatch_laps_advance() {

@@ -31,11 +31,6 @@ impl Tensor {
         self.zip_assign(other, |a, b| *a += b);
     }
 
-    /// In-place `self -= other`.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        self.zip_assign(other, |a, b| *a -= b);
-    }
-
     /// In-place `self *= other` (elementwise).
     pub fn mul_assign(&mut self, other: &Tensor) {
         self.zip_assign(other, |a, b| *a *= b);

@@ -47,11 +47,6 @@ impl Tensor {
         Self { shape: shape.to_vec(), data: vec![value; numel] }
     }
 
-    /// A scalar (rank-0 is represented as shape `[1]` for simplicity).
-    pub fn scalar(value: f32) -> Self {
-        Self { shape: vec![1], data: vec![value] }
-    }
-
     /// The tensor's shape.
     #[inline]
     pub fn shape(&self) -> &[usize] {

@@ -6,7 +6,7 @@
 //! cargo run --release --example fsdp_equivalence
 //! ```
 
-use geofm::fsdp::{run_data_parallel, FsdpConfig, ShardingStrategy};
+use geofm::fsdp::{try_run_data_parallel, FsdpConfig, ResilienceConfig, ShardingStrategy};
 use geofm::tensor::{Tensor, TensorRng};
 use geofm::vit::{VitConfig, VitModel};
 
@@ -32,7 +32,7 @@ fn global_batch(cfg: &VitConfig, step: usize) -> (Tensor, Tensor) {
 
 fn run(strategy: ShardingStrategy, world: usize) -> geofm::fsdp::DistReport {
     let cfg = tiny();
-    run_data_parallel(
+    try_run_data_parallel(
         FsdpConfig::tuned(strategy),
         world,
         0.01,
@@ -63,7 +63,10 @@ fn run(strategy: ShardingStrategy, world: usize) -> geofm::fsdp::DistReport {
             loss
         },
         |_| 1e-3,
+        None,
+        ResilienceConfig::disabled(),
     )
+    .expect("clean run")
 }
 
 fn main() {

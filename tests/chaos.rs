@@ -256,7 +256,6 @@ fn chaos_schedule(seed: u64) {
             multiplier: 16.0,
             warmup: 8,
         }),
-        straggler_threshold: 2.5,
         guard: Some(GuardConfig::default()),
         elastic: Some(ElasticConfig {
             checkpoint_path: Some(dir.join("elastic.ck3")),

@@ -10,7 +10,9 @@
 //! these tests prevent that.
 
 use geofm::collectives::CollectiveKind;
-use geofm::fsdp::{run_data_parallel, FlatLayout, FsdpConfig, ShardingStrategy};
+use geofm::fsdp::{
+    try_run_data_parallel, FlatLayout, FsdpConfig, ResilienceConfig, ShardingStrategy,
+};
 use geofm::nn::Module;
 use geofm::tensor::TensorRng;
 use geofm::vit::{VitConfig, VitModel};
@@ -30,7 +32,7 @@ fn tiny() -> VitConfig {
 
 fn run(strategy: ShardingStrategy, world: usize, steps: usize) -> geofm::fsdp::DistReport {
     let cfg = tiny();
-    run_data_parallel(
+    try_run_data_parallel(
         FsdpConfig::tuned(strategy),
         world,
         0.0,
@@ -55,7 +57,10 @@ fn run(strategy: ShardingStrategy, world: usize, steps: usize) -> geofm::fsdp::D
             loss
         },
         |_| 1e-4,
+        None,
+        ResilienceConfig::disabled(),
     )
+    .expect("clean run")
 }
 
 /// Analytic all-gather bytes for one full gather pass over every unit.

@@ -6,7 +6,7 @@
 
 use geofm::core::RecipeConfig;
 use geofm::data::{DatasetKind, SceneDataset};
-use geofm::fsdp::{run_data_parallel, FsdpConfig, ShardingStrategy};
+use geofm::fsdp::{try_run_data_parallel, FsdpConfig, ResilienceConfig, ShardingStrategy};
 use geofm::mae::{MaeConfig, MaeModel, MaskPlan, MaskSampler};
 use geofm::nn::{clip_grad_norm, AdamW, CosineSchedule, Module, Optimizer};
 use geofm::tensor::{Tensor, TensorRng};
@@ -46,7 +46,7 @@ fn slice_plan(plan: &MaskPlan, start: usize, end: usize) -> MaskPlan {
 }
 
 fn run_mae(strategy: ShardingStrategy, world: usize, steps: usize) -> Vec<f32> {
-    let report = run_data_parallel(
+    let report = try_run_data_parallel(
         FsdpConfig::tuned(strategy),
         world,
         0.0,
@@ -76,7 +76,10 @@ fn run_mae(strategy: ShardingStrategy, world: usize, steps: usize) -> Vec<f32> {
             loss
         },
         |_| 1e-3,
-    );
+        None,
+        ResilienceConfig::disabled(),
+    )
+    .expect("clean run");
     report.final_params
 }
 

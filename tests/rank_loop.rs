@@ -76,7 +76,6 @@ fn run(plan: FaultPlan) -> DistReport {
         collective_timeout: Some(Duration::from_secs(10)),
         max_restarts: 0,
         adaptive_timeout: None,
-        straggler_threshold: 2.5,
         guard: Some(GuardConfig {
             skip_steps: BTreeSet::from([SKIPPED]),
             ..GuardConfig::default()

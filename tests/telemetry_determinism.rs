@@ -12,7 +12,9 @@
 //! wall-clock* step times, so on a µs-scale toy workload scheduler jitter
 //! may flag a rank in one run and not another — by design, not by drift.
 
-use geofm_fsdp::{run_data_parallel_with_telemetry, DistReport, FsdpConfig, ShardingStrategy};
+use geofm_fsdp::{
+    try_run_data_parallel, DistReport, FsdpConfig, ResilienceConfig, ShardingStrategy,
+};
 use geofm_nn::{Linear, Module, ParamVisitor};
 use geofm_tensor::{Tensor, TensorRng};
 use geofm_telemetry::{MetricsSnapshot, Telemetry};
@@ -59,7 +61,7 @@ const STEPS: usize = 3;
 
 fn train_once(strategy: ShardingStrategy) -> (DistReport, MetricsSnapshot) {
     let tel = Telemetry::new();
-    let report = run_data_parallel_with_telemetry(
+    let report = try_run_data_parallel(
         FsdpConfig::tuned(strategy),
         WORLD,
         0.01,
@@ -77,7 +79,9 @@ fn train_once(strategy: ShardingStrategy) -> (DistReport, MetricsSnapshot) {
         },
         |_| 0.01,
         Some(tel.clone()),
-    );
+        ResilienceConfig::disabled(),
+    )
+    .expect("clean run");
     let snap = tel.metrics.snapshot();
     (report, snap)
 }

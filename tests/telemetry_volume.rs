@@ -10,7 +10,7 @@
 //! either the step's collective schedule or the accounting shows up here as
 //! a byte-level mismatch.
 //!
-//! The analytic model mirrors `FsdpRank::step`:
+//! The analytic model mirrors `FsdpRank::try_step`:
 //!
 //! 1. forward gather: per unit, all-gather of the padded unit over the
 //!    shard group (issued even when the group has one rank — zero bytes,
@@ -176,7 +176,7 @@ fn run_one_step(strategy: ShardingStrategy, world: usize) -> (TrafficSnapshot, A
                 let per = 8 / world;
                 let xl = x.rows(rank * per, (rank + 1) * per);
                 let yl = y.rows(rank * per, (rank + 1) * per);
-                fr.step(0.01, |m| m.compute(&xl, &yl));
+                fr.try_step(0.01, |m| m.compute(&xl, &yl)).expect("clean step");
             });
         }
     });
